@@ -44,7 +44,6 @@ from .modem import (
     PREAMBLE,
     REFERENCE_PAYLOAD,
     BitFrame,
-    ChannelCode,
     DetectionReport,
     ModulationConfig,
     PassivePill,

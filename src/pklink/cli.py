@@ -42,9 +42,13 @@ def _fmt(value: float) -> str:
 def _output(path):
     if path in (None, "-"):
         yield sys.stdout
-    else:
-        with open(path, "w", newline="") as fh:
-            yield fh
+        return
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot open output file {path}: {exc}") from exc
+    with fh:
+        yield fh
 
 
 def derive_platform(pk: PkParams, route: Route) -> PlatformConfig:
@@ -232,22 +236,14 @@ def _cmd_simulate(args) -> int:
 def _cmd_link(args) -> int:
     scenario = _load_scenario(args)
     report = run_link(scenario, engine=args.engine, lam=args.lam)
+    with _output(args.out) as fh:
+        report.to_csv(fh)
     if args.out not in (None, "-"):
-        report.to_csv(args.out)
         bits = "".join(str(b) for b in report.payload_bits)
         print(f"frame start: {_fmt(report.frame_start)} s")
         print(f"recovered payload: {bits}")
         if report.errors is not None:
             print(f"bit errors: {report.errors} of {len(report.payload_bits)} (ber {_fmt(report.ber)})")
-    else:
-        with _output(None) as fh:
-            fh.write("symbol,statistic,decision\n")
-            for i, (stat, dec) in enumerate(zip(report.statistics, report.decisions)):
-                fh.write(f"{i},{_fmt(stat)},{dec}\n")
-            fh.write("frame_start,threshold,errors,ber\n")
-            errors = "" if report.errors is None else str(report.errors)
-            ber_txt = "" if report.ber is None else _fmt(report.ber)
-            fh.write(f"{_fmt(report.frame_start)},{_fmt(report.threshold)},{errors},{ber_txt}\n")
     return 0
 
 
@@ -318,12 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--horizon", type=float, help="override the scenario horizon (s)")
     common.add_argument("--seed", type=int, help="override the scenario random seed")
     common.add_argument("--out", help="output file path (default: stdout)")
-    common.add_argument(
-        "--engine", choices=ENGINES, default="analytic", help="simulation engine for link"
-    )
-    common.add_argument(
-        "--lam", type=float, default=None, help="deconvolution regularization weight (default: auto)"
-    )
 
     parser = argparse.ArgumentParser(
         prog="pklink",
@@ -342,6 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("link", parents=[common], help="transmit and detect a bit frame")
+    p.add_argument("--engine", choices=ENGINES, default="analytic", help="simulation engine")
+    p.add_argument(
+        "--lam", type=float, default=None, help="deconvolution regularization weight (default: auto)"
+    )
     p.set_defaults(func=_cmd_link)
 
     p = sub.add_parser("fit", parents=[common], help="estimate parameters from a concentration CSV")

@@ -18,12 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PkParams, Route
+from .channel import DEGENERATE_RATE_TOL, PkParams, Route
 from .errors import ConvergenceError, DataError, DomainError
-
-# Relative rate separation below which the two-exponential shape switches
-# to its analytic confluent limit (matches the channel module).
-DEGENERATE_RATE_TOL = 1e-9
 
 MAX_ITERATIONS = 200
 STEP_TOLERANCE = 1e-9
@@ -66,7 +62,11 @@ class ConcentrationSeries:
         (default: the column after t).  Malformed rows fail with the line
         number.
         """
-        with open(path, newline="") as fh:
+        try:
+            fh = open(path, newline="")
+        except OSError as exc:
+            raise DataError(f"cannot read {path}: {exc}") from exc
+        with fh:
             header = fh.readline().strip()
             names = header.split(",")
             if len(names) < 2 or names[0] != "t":

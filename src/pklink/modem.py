@@ -10,6 +10,7 @@ each window against a fraction of the per-symbol dose.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -222,9 +223,13 @@ class DetectionReport:
     def decisions(self) -> tuple[int, ...]:
         return tuple(int(s > self.threshold) for s in self.statistics)
 
-    def to_csv(self, path):
-        """Per-symbol rows followed by a one-row summary section."""
-        with open(path, "w", newline="") as fh:
+    def to_csv(self, target):
+        """Per-symbol rows followed by a one-row summary section.
+
+        target is a file path or an open text handle, which is left open.
+        """
+        is_handle = hasattr(target, "write")
+        with contextlib.nullcontext(target) if is_handle else open(target, "w", newline="") as fh:
             fh.write("symbol,statistic,decision\n")
             for i, (stat, dec) in enumerate(zip(self.statistics, self.decisions)):
                 fh.write(f"{i},{float(stat)!r},{dec}\n")
@@ -322,16 +327,6 @@ def ber(sent, received) -> float:
     if len(a) == 0:
         raise DomainError("bit sequences are empty")
     return sum(1 for x, y in zip(a, b) if x != y) / len(a)
-
-
-class ChannelCode:
-    """Pass-through channel code; subclass to plug in repetition or parity."""
-
-    def encode(self, bits):
-        return _check_bits(bits)
-
-    def decode(self, bits):
-        return _check_bits(bits)
 
 
 def ber_sweep(

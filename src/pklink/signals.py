@@ -357,14 +357,55 @@ def inverse_filter_iv(y: SampledSignal, params: PkParams) -> SampledSignal:
     return SampledSignal(t0=y.t0, dt=y.dt, samples=u, role=SignalRole.MASS_RATE)
 
 
+def rk4_linear(M, b, dt: float, u: np.ndarray, jumps: np.ndarray | None = None) -> np.ndarray:
+    """Classical fixed-step RK4 for x' = M x + b u(t) with M lower triangular.
+
+    u[i] is the input held constant over step i (zero-order hold).  For a
+    linear system one RK4 step is exactly x[i+1] = P x[i] + q u[i], with
+    z = dt*M, P = I + z + z^2/2 + z^3/6 + z^4/24 and
+    q = dt*(I + z/2 + z^2/6 + z^3/24) b.  jumps[i] (length len(u) + 1) is
+    an impulsive amount added along b at grid point i before the state
+    there is recorded; the state starts at zero.  A compartment chain makes
+    M, and so P, lower triangular, so the recurrence is solved one state at
+    a time as a first-order filter driven by the states above it.  Returns
+    the states on the grid, shape (len(b), len(u) + 1).  The step must
+    resolve the fastest rate, dt * max(-M_kk) <= MAX_RATE_PER_STEP,
+    otherwise a configuration error is raised.
+    """
+    M = np.asarray(M, dtype=float)
+    b = np.asarray(b, dtype=float)
+    fastest = float(np.max(-np.diag(M)))
+    if dt * fastest > MAX_RATE_PER_STEP:
+        raise ConfigurationError(
+            f"step size dt={dt} is unstable for rate {fastest}: dt*rate must be <= {MAX_RATE_PER_STEP}"
+        )
+    eye = np.eye(len(b))
+    z = dt * M
+    z2 = z @ z
+    z3 = z2 @ z
+    P = eye + z + z2 / 2.0 + z3 / 6.0 + (z3 @ z) / 24.0
+    q = dt * ((eye + z / 2.0 + z2 / 6.0 + z3 / 24.0) @ b)
+    drive = np.zeros((len(b), len(u) + 1))
+    drive[:, 1:] = np.outer(q, u)
+    if jumps is not None:
+        drive += np.outer(b, jumps)
+    x = np.empty_like(drive)
+    for k in range(len(b)):
+        drive[k, 1:] += P[k, :k] @ x[:k, :-1]
+        x[k] = scipy.signal.lfilter([1.0], [1.0, -P[k, k]], drive[k])
+    return x
+
+
 def integrate_ode(params: PkParams, route: Route, u: SampledSignal, horizon: float) -> SampledSignal:
     """Integrate the compartment ODEs with classical fixed-step RK4.
 
     The input is held constant over each step (zero-order hold) and is zero
     beyond its sampled extent.  State starts at zero at u.t0 and the
     concentration of the central compartment is returned on the input grid
-    up to u.t0 + horizon.  The step must resolve the fastest rate:
-    dt * max(k_a, k_e) <= 0.1, otherwise a configuration error is raised.
+    up to u.t0 + horizon.  The integration is rk4_linear, the core shared
+    with the hydraulic twin, so both engines have one stability bound:
+    dt * max(k_a, k_e) <= MAX_RATE_PER_STEP, otherwise a configuration
+    error is raised.
     """
     if u.role is not SignalRole.MASS_RATE:
         raise ConfigurationError("integrate_ode expects a mass-rate input signal")
@@ -374,53 +415,17 @@ def integrate_ode(params: PkParams, route: Route, u: SampledSignal, horizon: flo
         raise ConfigurationError(f"horizon {horizon} shorter than one step {dt}")
     if n_steps < len(u) - 1:
         raise ConfigurationError("horizon must cover the input signal duration")
-    fastest = params.k_e if route is Route.INTRAVENOUS else max(params.require_k_a(), params.k_e)
-    if dt * fastest > MAX_RATE_PER_STEP:
-        raise ConfigurationError(
-            f"step size dt={dt} is unstable for rate {fastest}: dt*rate must be <= {MAX_RATE_PER_STEP}"
-        )
 
-    rates = u.samples.tolist()
-    n_in = len(rates)
     ke = params.k_e
-    out = np.zeros(n_steps + 1)
-
     if route is Route.INTRAVENOUS:
-        b = 0.0
-        for i in range(n_steps):
-            ui = rates[i] if i < n_in else 0.0
-            k1 = ui - ke * b
-            k2 = ui - ke * (b + 0.5 * dt * k1)
-            k3 = ui - ke * (b + 0.5 * dt * k2)
-            k4 = ui - ke * (b + dt * k3)
-            b += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[i + 1] = b
+        M, b = [[-ke]], [1.0]
     else:
         ka = params.require_k_a()
-        f_in = params.F
-        a = 0.0
-        b = 0.0
-        for i in range(n_steps):
-            ui = f_in * rates[i] if i < n_in else 0.0
-            a1 = ui - ka * a
-            b1 = ka * a - ke * b
-            a_2 = a + 0.5 * dt * a1
-            b_2 = b + 0.5 * dt * b1
-            a2 = ui - ka * a_2
-            b2 = ka * a_2 - ke * b_2
-            a_3 = a + 0.5 * dt * a2
-            b_3 = b + 0.5 * dt * b2
-            a3 = ui - ka * a_3
-            b3 = ka * a_3 - ke * b_3
-            a_4 = a + dt * a3
-            b_4 = b + dt * b3
-            a4 = ui - ka * a_4
-            b4 = ka * a_4 - ke * b_4
-            a += (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            b += (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            out[i + 1] = b
-
-    return SampledSignal(t0=u.t0, dt=dt, samples=out / params.V, role=SignalRole.CONCENTRATION)
+        M, b = [[-ka, 0.0], [ka, -ke]], [params.F, 0.0]
+    rates = np.zeros(n_steps)
+    rates[: len(u)] = u.samples[:n_steps]
+    central = rk4_linear(M, b, dt, rates)[-1]
+    return SampledSignal(t0=u.t0, dt=dt, samples=central / params.V, role=SignalRole.CONCENTRATION)
 
 
 def spectrum(x: SampledSignal) -> Spectrum:

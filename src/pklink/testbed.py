@@ -18,10 +18,7 @@ import numpy as np
 
 from .channel import DoseSchedule, Route
 from .errors import ConfigurationError, DomainError
-
-# Fixed-step RK4 stability guard: fastest turnover rate must resolve to
-# at least ten steps, mirroring the signal-engine integrator.
-MAX_RATE_PER_STEP = 0.1
+from .signals import dose_rate_signal, rk4_linear
 
 
 @dataclass(frozen=True)
@@ -114,100 +111,45 @@ def simulate_platform(
     """Integrate the two-vessel hardware model with fixed-step RK4.
 
     Finite-duration doses are metered in as piecewise-constant rates held
-    over whole steps; impulsive doses are injected as instantaneous mass
-    jumps at their nearest grid time.  Input mass is accumulated through
-    the same stages as the vessel states, so conservation holds to
-    rounding error and mass_audit() can verify it strictly.
+    over whole steps (rendered by dose_rate_signal); impulsive doses are
+    injected as instantaneous mass jumps at their nearest grid time.  The
+    vessels and the excreta are three states of one linear system, solved
+    by rk4_linear, the core and stability bound shared with integrate_ode.
+    Excreta is integrated as its own state, not inferred from the other
+    two, so mass_audit() verifies conservation strictly.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError(f"dt must be positive and finite, got {dt}")
     n_steps = int(round(horizon / dt))
     if n_steps < 1:
         raise ConfigurationError(f"horizon {horizon} shorter than one step {dt}")
-    ra = config.absorption_rate
-    re = config.elimination_rate
-    if dt * max(ra, re) > MAX_RATE_PER_STEP:
-        raise ConfigurationError(
-            f"step size dt={dt} is unstable for turnover rate {max(ra, re)}: "
-            f"dt*rate must be <= {MAX_RATE_PER_STEP}"
-        )
 
-    rate = np.zeros(n_steps + 1)
-    jumps: list[tuple[int, float]] = []
-    for event in schedule:
-        if event.mass == 0.0:
-            continue
+    doses = [event for event in schedule if event.mass > 0.0]
+    jumps = np.zeros(n_steps + 1)
+    for event in doses:
         if event.duration == 0.0:
-            idx = int(round((event.time) / dt))
+            idx = int(round(event.time / dt))
             if not (0 <= idx <= n_steps):
                 raise ConfigurationError(f"dose at t={event.time} falls outside the horizon")
-            jumps.append((idx, event.mass))
-        else:
-            i0 = int(round(event.time / dt))
-            i1 = max(i0 + 1, int(round(event.end / dt)))
-            if i0 < 0 or i1 > n_steps:
-                raise ConfigurationError(f"dose over [{event.time}, {event.end}] falls outside the horizon")
-            rate[i0:i1] += event.mass / ((i1 - i0) * dt)
-    jump_map: dict[int, float] = {}
-    for idx, mass in jumps:
-        jump_map[idx] = jump_map.get(idx, 0.0) + mass
+            jumps[idx] += event.mass
+    infusions = DoseSchedule(events=tuple(event for event in doses if event.duration > 0.0))
+    rate = dose_rate_signal(infusions, dt, n_steps).samples
 
-    into_admin = config.route is Route.EXTRAVASCULAR
-    rates = rate.tolist()
-    c_a = np.zeros(n_steps + 1)
-    c_b = np.zeros(n_steps + 1)
-    excreta = np.zeros(n_steps + 1)
-    input_mass = np.zeros(n_steps + 1)
-
-    a = b = e = total_in = 0.0
-    for i in range(n_steps + 1):
-        mass = jump_map.get(i)
-        if mass is not None:
-            if into_admin:
-                a += mass
-            else:
-                b += mass
-            total_in += mass
-        c_a[i] = a / config.V_a
-        c_b[i] = b / config.V_b
-        excreta[i] = e
-        input_mass[i] = total_in
-        if i == n_steps:
-            break
-        ui = rates[i]
-        ua = ui if into_admin else 0.0
-        ub = 0.0 if into_admin else ui
-        # classical RK4 stages; the input is constant over the step
-        a1 = ua - ra * a
-        b1 = ra * a - re * b + ub
-        e1 = re * b
-        a_2 = a + 0.5 * dt * a1
-        b_2 = b + 0.5 * dt * b1
-        a2 = ua - ra * a_2
-        b2 = ra * a_2 - re * b_2 + ub
-        e2 = re * b_2
-        a_3 = a + 0.5 * dt * a2
-        b_3 = b + 0.5 * dt * b2
-        a3 = ua - ra * a_3
-        b3 = ra * a_3 - re * b_3 + ub
-        e3 = re * b_3
-        a_4 = a + dt * a3
-        b_4 = b + dt * b3
-        a4 = ua - ra * a_4
-        b4 = ra * a_4 - re * b_4 + ub
-        e4 = re * b_4
-        a += (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        b += (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        e += (dt / 6.0) * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-        total_in += dt * ui
+    ra = config.absorption_rate
+    re = config.elimination_rate
+    M = [[-ra, 0.0, 0.0], [ra, -re, 0.0], [0.0, re, 0.0]]
+    b = [1.0, 0.0, 0.0] if config.route is Route.EXTRAVASCULAR else [0.0, 1.0, 0.0]
+    a, central, excreta = rk4_linear(M, b, dt, rate, jumps)
+    delivered = jumps.copy()
+    delivered[1:] += dt * rate
 
     return PlatformTrace(
         t0=0.0,
         dt=dt,
-        c_a=c_a,
-        c_b=c_b,
+        c_a=a / config.V_a,
+        c_b=central / config.V_b,
         excreta_mass=excreta,
-        input_mass=input_mass,
+        input_mass=np.cumsum(delivered),
         config=config,
     )
 

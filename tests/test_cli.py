@@ -135,12 +135,19 @@ def test_plan_stays_quiet_when_nominals_agree(capsys):
     assert "WARNING" not in capsys.readouterr().out
 
 
-def test_usage_errors_exit_with_2(capsys):
+def test_usage_errors_exit_with_2(tmp_path, capsys):
     assert main(["simulate", "--scenario", "no-such"]) == 2
     assert main(["plan", "--mode", "volumes"]) == 2  # no rates given
     assert main(["plan", "--mode", "orbit"]) == 2  # rejected by the parser
     assert main(["link", "--scenario", "bench-iv"]) == 2  # no modulation section
+    assert main(["impulse", "--scenario", "bench-iv", "--engine", "ode"]) == 2  # link-only flag
     capsys.readouterr()
+    out = tmp_path / "missing-dir" / "x.csv"  # an output path that cannot be opened
+    for argv in (["simulate", "--scenario", "bench-iv"], ["link", "--scenario", "link-iv"]):
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot open output file")
+        assert "Traceback" not in err
 
 
 def test_data_errors_exit_with_3(tmp_path, capsys):
@@ -149,6 +156,12 @@ def test_data_errors_exit_with_3(tmp_path, capsys):
     code = main(["fit", "--csv", str(bad), "--route", "intravenous", "--dose", "10"])
     assert code == 3
     assert "line 3" in capsys.readouterr().err
+    missing = tmp_path / "missing.csv"
+    code = main(["fit", "--csv", str(missing), "--route", "intravenous", "--dose", "10"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read")
+    assert "Traceback" not in err
 
 
 def test_numeric_errors_exit_with_4(capsys):

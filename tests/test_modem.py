@@ -14,7 +14,6 @@ from pklink.modem import (
     PREAMBLE,
     REFERENCE_PAYLOAD,
     BitFrame,
-    ChannelCode,
     ModulationConfig,
     PassivePill,
     add_noise,
@@ -217,12 +216,6 @@ def test_bit_error_rate_counts_mismatches():
         ber((1, 0), (1, 0, 1))
     with pytest.raises(DomainError):
         ber((), ())
-
-
-def test_channel_code_is_a_transparent_default():
-    code = ChannelCode()
-    bits = (1, 0, 1)
-    assert code.decode(code.encode(bits)) == bits
 
 
 def test_ber_sweep_is_reproducible_and_ordered(bench_pk):

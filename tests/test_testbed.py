@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pklink.channel import DoseEvent, DoseSchedule, PkParams, Route
 from pklink.errors import ConfigurationError, DomainError
@@ -146,3 +148,87 @@ def test_trace_csv_layout(tmp_path):
     assert lines[0] == "t,c_a,c_b,excreta,input"
     assert len(lines) == len(trace) + 1
     assert len(lines[1].split(",")) == 5
+
+
+def _rk4_reference(M, b, dt, u, jumps):
+    """Generic classical RK4 step loop for x' = M x + b u, jumps added along b."""
+    M = np.asarray(M)
+    b = np.asarray(b)
+    x = b * jumps[0]
+    states = [x]
+    for i, ui in enumerate(u):
+        k1 = M @ x + b * ui
+        k2 = M @ (x + 0.5 * dt * k1) + b * ui
+        k3 = M @ (x + 0.5 * dt * k2) + b * ui
+        k4 = M @ (x + dt * k3) + b * ui
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4) + b * jumps[i + 1]
+        states.append(x)
+    return np.array(states).T
+
+
+N_STEPS = 300
+
+# a dose is (start step, mass, duration in steps); duration 0 is an impulse
+doses = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=200),
+        st.floats(min_value=0.1, max_value=100.0),
+        st.sampled_from([0, 0, 1, 7, 40]),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+# dt is a power of two so that k = (k*dt)/dt gives back k*dt exactly and
+# k*dt = 0.1 sits on the stability bound, not just past it
+@settings(max_examples=40, deadline=None)
+@given(
+    ka_dt=st.floats(min_value=1e-3, max_value=0.1),
+    ke_dt=st.floats(min_value=1e-3, max_value=0.1),
+    confluent=st.booleans(),
+    dt=st.sampled_from([0.25, 1.0, 4.0]),
+    route=st.sampled_from(list(Route)),
+    spec=doses,
+)
+@example(ka_dt=0.1, ke_dt=0.1, confluent=True, dt=4.0, route=Route.EXTRAVASCULAR, spec=[(0, 10.0, 0), (3, 5.0, 7)])
+@example(ka_dt=1e-3, ke_dt=0.1, confluent=False, dt=1.0, route=Route.EXTRAVASCULAR, spec=[(10, 1.0, 40)])
+def test_engines_match_a_generic_rk4_loop(ka_dt, ke_dt, confluent, dt, route, spec):
+    k_a, k_e = ka_dt / dt, (ka_dt if confluent else ke_dt) / dt
+    schedule = DoseSchedule(events=tuple(DoseEvent(i * dt, m, d * dt) for i, m, d in spec))
+    double = DoseSchedule(events=tuple(DoseEvent(e.time, 2.0 * e.mass, e.duration) for e in schedule))
+    horizon = N_STEPS * dt
+
+    # the ODE engine takes every dose as a rate; impulses fill one step
+    pk = PkParams(k_e=k_e, V=80.0, k_a=k_a, F=0.7)
+    if route is Route.INTRAVENOUS:
+        M, b = [[-k_e]], [1.0]
+    else:
+        M, b = [[-k_a, 0.0], [k_a, -k_e]], [pk.F, 0.0]
+    rate = dose_rate_signal(schedule, dt, N_STEPS + 1)
+    ode = integrate_ode(pk, route, rate, horizon).samples
+    ref = _rk4_reference(M, b, dt, rate.samples[:N_STEPS], np.zeros(N_STEPS + 1))[-1] / pk.V
+    assert rel_max(ode, ref) < 1e-12
+    ode2 = integrate_ode(pk, route, dose_rate_signal(double, dt, N_STEPS + 1), horizon).samples
+    assert np.array_equal(ode2, 2.0 * ode)
+
+    # the twin takes impulses as jumps and infusions as rates
+    config = PlatformConfig(Q_a=k_a * 30.0, Q_e=k_e * 50.0, V_a=30.0, V_b=50.0, route=route)
+    ra, re = config.absorption_rate, config.elimination_rate
+    jumps = np.zeros(N_STEPS + 1)
+    infusions = np.zeros(N_STEPS)
+    for i, m, d in spec:
+        if d == 0:
+            jumps[i] += m
+        else:
+            infusions[i : i + d] += m / (d * dt)
+    entry = [1.0, 0.0, 0.0] if route is Route.EXTRAVASCULAR else [0.0, 1.0, 0.0]
+    M3 = [[-ra, 0.0, 0.0], [ra, -re, 0.0], [0.0, re, 0.0]]
+    ref = _rk4_reference(M3, entry, dt, infusions, jumps)
+    trace = simulate_platform(config, schedule, dt, horizon)
+    assert rel_max(trace.c_b, ref[1] / config.V_b) < 1e-12
+    assert mass_audit(trace) < 1e-9
+    trace2 = simulate_platform(config, double, dt, horizon)
+    assert np.array_equal(trace2.c_a, 2.0 * trace.c_a)
+    assert np.array_equal(trace2.c_b, 2.0 * trace.c_b)
+    assert np.array_equal(trace2.excreta_mass, 2.0 * trace.excreta_mass)
