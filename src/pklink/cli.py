@@ -322,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("scenarios", parents=[common], help="list built-in scenarios")
-    p.add_argument("--list", action="store_true", help="list built-in scenarios (default)")
     p.set_defaults(func=_cmd_scenarios)
 
     p = sub.add_parser("impulse", parents=[common], help="sampled impulse responses for a scenario")

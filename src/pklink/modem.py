@@ -23,7 +23,16 @@ from .errors import (
     SynchronizationError,
     TruncationError,
 )
-from .signals import SampledSignal, SignalRole, deconvolve, sample, sampled_kernel
+# deconvolve is not called here but stays importable from this module: the
+# benchmark tracer (perfbench/spans.py) wraps it under this name.
+from .signals import (
+    SampledSignal,
+    SignalRole,
+    TikhonovSolve,
+    deconvolve,
+    sample,
+    sampled_kernel,
+)
 
 PREAMBLE = (1, 1, 1)
 
@@ -169,6 +178,30 @@ def passive_pill_schedule(pill: PassivePill) -> DoseSchedule:
     return DoseSchedule(events=events)
 
 
+def _noisy_rows(clean: np.ndarray, sigmas, spike_prob: float, spike_scale: float, seed) -> np.ndarray:
+    """One noisy copy of clean per sigma, all from a single draw of the seed.
+
+    The draws (normals, uniforms, exponentials, in that order) do not
+    depend on the amplitudes, so row i is exactly what drawing afresh with
+    sigmas[i] would give.
+    """
+    sigmas = np.asarray(sigmas, dtype=float)
+    for sigma in sigmas:
+        if sigma < 0:
+            raise DomainError(f"sigma must be >= 0, got {sigma}")
+    if not (0.0 <= spike_prob <= 1.0):
+        raise DomainError(f"spike_prob must lie in [0, 1], got {spike_prob}")
+    if spike_scale < 0:
+        raise DomainError(f"spike_scale must be >= 0, got {spike_scale}")
+    rng = np.random.default_rng(seed)
+    n = len(clean)
+    normals = rng.standard_normal(n)
+    spike_at = rng.random(n) < spike_prob
+    spikes = np.where(spike_at, rng.exponential(1.0, n) * spike_scale, 0.0)
+    noisy = clean + normals * sigmas[:, np.newaxis] + spikes
+    return np.clip(noisy, 0.0, None)
+
+
 def add_noise(
     x: SampledSignal,
     sigma: float,
@@ -184,21 +217,12 @@ def add_noise(
     be negative.  Draw order is fixed (normals, uniforms, exponentials) so
     a seed fully determines the output, and scaling by sigma / spike_scale
     happens after drawing so different amplitudes share the same underlying
-    realization for a given seed.
+    realization for a given seed.  ber_sweep relies on this: it draws each
+    frame's noise once and scales the same draws for every sigma, through
+    the helper this function uses.
     """
-    if sigma < 0:
-        raise DomainError(f"sigma must be >= 0, got {sigma}")
-    if not (0.0 <= spike_prob <= 1.0):
-        raise DomainError(f"spike_prob must lie in [0, 1], got {spike_prob}")
-    if spike_scale < 0:
-        raise DomainError(f"spike_scale must be >= 0, got {spike_scale}")
-    rng = np.random.default_rng(seed)
-    n = len(x)
-    gauss = rng.standard_normal(n) * sigma
-    spike_at = rng.random(n) < spike_prob
-    spikes = rng.exponential(1.0, n) * spike_scale
-    noisy = x.samples + gauss + np.where(spike_at, spikes, 0.0)
-    return SampledSignal(t0=x.t0, dt=x.dt, samples=np.clip(noisy, 0.0, None), role=x.role)
+    noisy = _noisy_rows(x.samples, [sigma], spike_prob, spike_scale, seed)[0]
+    return SampledSignal(t0=x.t0, dt=x.dt, samples=noisy, role=x.role)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,6 +264,74 @@ class DetectionReport:
             fh.write(f"{float(self.frame_start)!r},{float(self.threshold)!r},{errors},{ber_txt}\n")
 
 
+class Receiver:
+    """Deconvolution receiver for records of n samples at step dt.
+
+    Built once per (params, route, dt, n, lam), it owns the channel kernel,
+    the cached Tikhonov solve and the decision threshold
+    threshold_fraction * dose_mass, and decodes a 2-D stack of records
+    (rows x samples) with one transform along the samples axis.  Windows
+    are aligned to the sample grid, so dt must divide the symbol period.
+    """
+
+    def __init__(
+        self,
+        params: PkParams,
+        config: ModulationConfig,
+        dt: float,
+        n: int,
+        threshold_fraction: float = 0.5,
+        lam: float | None = None,
+    ):
+        if not (0.0 < threshold_fraction < 1.0):
+            raise DomainError(f"threshold_fraction must lie in (0, 1), got {threshold_fraction}")
+        w = int(round(config.symbol_period / dt))
+        if w < 1 or abs(w * dt - config.symbol_period) > 1e-9 * config.symbol_period:
+            raise ConfigurationError(
+                f"sample step {dt} does not divide the symbol period {config.symbol_period}"
+            )
+        self.dt = dt
+        self.window = w
+        self.n_windows = n // w
+        kernel = sampled_kernel(params, config.route, dt, n)
+        self.solve = TikhonovSolve(kernel.samples, dt, n, n, lam)
+        self.threshold = threshold_fraction * config.dose_mass
+
+    def decode(self, records: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Recovered mass rates, per-window recovered mass and frame start per row.
+
+        The frame start is the first window of three consecutive windows
+        above threshold, counted in windows; it is -1 where a row has none.
+        """
+        if records.ndim != 2 or not np.all(np.isfinite(records)):
+            raise DomainError("records must be a 2-D stack of finite samples")
+        recovered = self.solve.apply(records)
+        rows, w, n_windows = len(records), self.window, self.n_windows
+        stats = recovered[:, : n_windows * w].reshape(rows, n_windows, w).sum(axis=2) * self.dt
+        above = stats > self.threshold
+        n_starts = max(n_windows - len(PREAMBLE) + 1, 0)
+        runs = np.ones((rows, n_starts), dtype=bool)
+        for k in range(len(PREAMBLE)):
+            runs &= above[:, k : k + n_starts]
+        if n_starts == 0:
+            return recovered, stats, np.full(rows, -1)
+        return recovered, stats, np.where(runs.any(axis=1), runs.argmax(axis=1), -1)
+
+    def payload_decisions(self, stats: np.ndarray, starts: np.ndarray, payload_length: int):
+        """Payload decisions of each row and whether the row holds a whole frame.
+
+        A row holds its frame when it has a preamble and payload_length
+        windows after it; decisions of other rows are all zero.
+        """
+        first = starts + len(PREAMBLE)
+        held = (starts >= 0) & (first + payload_length <= self.n_windows)
+        decisions = np.zeros((len(stats), payload_length), dtype=bool)
+        if held.any():
+            cols = first[held, np.newaxis] + np.arange(payload_length)
+            decisions[held] = np.take_along_axis(stats[held], cols, axis=1) > self.threshold
+        return decisions, held
+
+
 def detect(
     received: SampledSignal,
     params: PkParams,
@@ -255,39 +347,22 @@ def detect(
     mass rate, integrate recovered mass over each symbol window, find the
     first window above threshold_fraction * dose_mass and verify the three
     consecutive preamble windows, then threshold the payload windows.
-    Windows are aligned to the sample grid, so the sample step must divide
-    the symbol period.  With payload_length given, a signal ending before
-    the payload completes raises a truncation error; otherwise every full
-    window after the preamble is decoded.
+    These are the steps of a Receiver built for this one record and
+    applied to it as a one-row stack.  Windows are aligned to the sample
+    grid, so the sample step must divide the symbol period.  With
+    payload_length given, a signal ending before the payload completes
+    raises a truncation error; otherwise every full window after the
+    preamble is decoded.
     """
-    if not (0.0 < threshold_fraction < 1.0):
-        raise DomainError(f"threshold_fraction must lie in (0, 1), got {threshold_fraction}")
-    dt = received.dt
-    w = int(round(config.symbol_period / dt))
-    if w < 1 or abs(w * dt - config.symbol_period) > 1e-9 * config.symbol_period:
-        raise ConfigurationError(
-            f"sample step {dt} does not divide the symbol period {config.symbol_period}"
-        )
-    kernel = sampled_kernel(params, config.route, dt, len(received))
-    recovered = deconvolve(received, kernel, method="frequency", lam=lam, output_length=len(received))
-
-    n_windows = len(received) // w
-    if n_windows < len(PREAMBLE):
+    receiver = Receiver(params, config, received.dt, len(received), threshold_fraction, lam)
+    recovered, stats, starts = receiver.decode(received.samples[np.newaxis])
+    if receiver.n_windows < len(PREAMBLE):
         raise SynchronizationError("signal is shorter than the preamble")
-    windowed = recovered.samples[: n_windows * w].reshape(n_windows, w)
-    stats = windowed.sum(axis=1) * dt
-    threshold = threshold_fraction * config.dose_mass
-
-    start = None
-    above = stats > threshold
-    for k in range(n_windows - len(PREAMBLE) + 1):
-        if above[k] and above[k + 1] and above[k + 2]:
-            start = k
-            break
-    if start is None:
+    start = int(starts[0])
+    if start < 0:
         raise SynchronizationError("no preamble found above threshold")
 
-    available = n_windows - start - len(PREAMBLE)
+    available = receiver.n_windows - start - len(PREAMBLE)
     if payload_length is None:
         n_payload = available
     else:
@@ -299,8 +374,9 @@ def detect(
             )
         n_payload = payload_length
 
-    frame_stats = stats[start : start + len(PREAMBLE) + n_payload]
-    payload_bits = tuple(int(s > threshold) for s in frame_stats[len(PREAMBLE) :])
+    frame_stats = stats[0, start : start + len(PREAMBLE) + n_payload]
+    decisions, _ = receiver.payload_decisions(stats, starts, n_payload)
+    payload_bits = tuple(int(b) for b in decisions[0])
     errors = None
     if reference is not None:
         checked = _check_bits(reference)
@@ -310,10 +386,10 @@ def detect(
     return DetectionReport(
         payload_bits=payload_bits,
         statistics=tuple(float(s) for s in frame_stats),
-        frame_start=received.t0 + start * w * dt,
-        threshold=threshold,
+        frame_start=received.t0 + start * receiver.window * received.dt,
+        threshold=receiver.threshold,
         symbol_period=config.symbol_period,
-        recovered=recovered,
+        recovered=SampledSignal(t0=received.t0, dt=received.dt, samples=recovered[0], role=SignalRole.MASS_RATE),
         errors=errors,
     )
 
@@ -350,6 +426,13 @@ def ber_sweep(
     order; the same per-frame noise realization is reused for every sigma
     (scaled draws) to keep the sweep comparable point to point.  Frames
     whose preamble cannot be found count all payload bits as errors.
+
+    The Receiver is built once per call.  Each clean frame is the sum, in
+    slot order, of per-slot pulses sampled once; each frame's noise is
+    drawn once from seed [frame_seed, 1] (normals, then uniforms, then
+    exponentials, the add_noise contract) and scaled for every sigma, and
+    the frame's sigma rows are decoded as one stack.  The rates are those
+    of add_noise and detect applied frame by frame and sigma by sigma.
     """
     if n_frames < 1:
         raise DomainError("n_frames must be >= 1")
@@ -361,38 +444,25 @@ def ber_sweep(
     n_symbols = len(PREAMBLE) + payload_length
     horizon = n_symbols * config.symbol_period + tail
     n = int(round(horizon / dt)) + 1
+    sigmas = np.asarray(list(sigmas), dtype=float)
 
-    frames = []
+    def slot_pulse(event: DoseEvent) -> np.ndarray:
+        one = DoseSchedule(events=(event,))
+        pulse = sample(lambda t: superpose(params, config.route, one, t), 0.0, dt, n, SignalRole.CONCENTRATION)
+        return pulse.samples
+
+    pulses = [slot_pulse(event) for event in modulate_ook(frame((1,) * payload_length), config)]
+    receiver = Receiver(params, config, dt, n, threshold_fraction, lam)
+    errors = np.zeros(len(sigmas), dtype=int)
     for i in range(n_frames):
         frame_seed = seed + i
-        payload = tuple(int(b) for b in np.random.default_rng([frame_seed, 0]).integers(0, 2, payload_length))
-        schedule = modulate_ook(frame(payload), config)
-        clean = sample(
-            lambda t: superpose(params, config.route, schedule, t),
-            0.0,
-            dt,
-            n,
-            SignalRole.CONCENTRATION,
-        )
-        frames.append((frame_seed, payload, clean))
-
-    rates = []
-    for sigma in sigmas:
-        errors = 0
-        for frame_seed, payload, clean in frames:
-            noisy = add_noise(clean, sigma, spike_prob, spike_scale, seed=[frame_seed, 1])
-            try:
-                report = detect(
-                    noisy,
-                    params,
-                    config,
-                    threshold_fraction=threshold_fraction,
-                    payload_length=payload_length,
-                    lam=lam,
-                    reference=payload,
-                )
-                errors += report.errors
-            except (SynchronizationError, TruncationError):
-                errors += payload_length
-        rates.append(errors / (n_frames * payload_length))
-    return rates
+        payload = np.random.default_rng([frame_seed, 0]).integers(0, 2, payload_length)
+        clean = np.zeros(n)
+        for bit, pulse in zip(frame(payload).bits, pulses):
+            if bit:
+                clean += pulse
+        records = _noisy_rows(clean, sigmas, spike_prob, spike_scale, [frame_seed, 1])
+        _, stats, starts = receiver.decode(records)
+        decisions, held = receiver.payload_decisions(stats, starts, payload_length)
+        errors += np.where(held, np.count_nonzero(decisions != payload, axis=1), payload_length)
+    return [int(e) / (n_frames * payload_length) for e in errors]

@@ -169,7 +169,13 @@ class Scenario:
                 raise UsageError(f"scenario field {path}: missing")
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise UsageError(f"scenario field {path}: must be a number, got {value!r}")
-            return float(value)
+            try:
+                out = float(value)
+            except OverflowError:
+                out = math.inf
+            if not math.isfinite(out):
+                raise UsageError(f"scenario field {path}: must be finite, got {value!r}")
+            return out
 
         name = doc.get("name")
         if not isinstance(name, str) or not name:
@@ -213,7 +219,8 @@ class Scenario:
             raw = doc["nominal_volumes"]
             if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
                 raise UsageError("scenario field nominal_volumes: must be a pair [V_a, V_b]")
-            nominal = (float(raw[0]), float(raw[1]))
+            pair = dict(zip(("V_a", "V_b"), raw))
+            nominal = (number(pair, "nominal_volumes.V_a"), number(pair, "nominal_volumes.V_b"))
 
         doses = None
         if "doses" in doc:

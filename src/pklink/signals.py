@@ -308,9 +308,7 @@ def deconvolve(
     n_out = default_len if output_length is None else int(output_length)
     if n_out < 1:
         raise ConfigurationError("deconvolution output would be empty (kernel longer than signal)")
-    peak = float(np.max(np.abs(h.samples)))
-    if peak == 0.0:
-        raise IllConditionedError("kernel is identically zero")
+    peak = _kernel_peak(h.samples)
 
     if method == "time":
         lead = float(abs(h.samples[0]))
@@ -323,22 +321,59 @@ def deconvolve(
         quotient = scipy.signal.lfilter([1.0], h.samples, padded)
         x_hat = quotient[:n_out] / y.dt
     elif method == "frequency":
-        if lam is None:
-            n_probe = scipy.fft.next_fast_len(len(y) + len(h) - 1)
-            lam = 1e-3 * float(np.max(np.abs(scipy.fft.rfft(h.samples, n_probe) * y.dt) ** 2))
-        if lam < 0:
-            raise DomainError(f"regularization weight must be >= 0, got {lam}")
-        n_fft = scipy.fft.next_fast_len(max(len(y) + len(h) - 1, n_out + len(h) - 1))
-        Y = scipy.fft.rfft(y.samples, n_fft)
-        H = scipy.fft.rfft(h.samples, n_fft) * y.dt
-        denom = np.abs(H) ** 2 + lam
-        if np.any(denom == 0.0):
-            raise IllConditionedError("kernel transform vanishes and no regularization was given")
-        x_hat = scipy.fft.irfft(Y * np.conj(H) / denom, n_fft)[:n_out]
+        x_hat = TikhonovSolve(h.samples, y.dt, len(y), n_out, lam).apply(y.samples)
     else:
         raise DomainError(f"unknown deconvolution method {method!r}")
 
     return SampledSignal(t0=y.t0 - h.t0, dt=y.dt, samples=x_hat, role=SignalRole.MASS_RATE)
+
+
+def _kernel_peak(taps: np.ndarray) -> float:
+    peak = float(np.max(np.abs(taps)))
+    if peak == 0.0:
+        raise IllConditionedError("kernel is identically zero")
+    return peak
+
+
+class TikhonovSolve:
+    """Tikhonov-regularized frequency-domain inverse of one kernel.
+
+    Built once for kernel taps h (sample step dt), records of n_in samples
+    and n_out recovered samples, it holds the transform size n_fft, the
+    dt-scaled kernel transform H, conj(H), denom = |H|^2 + lam and lam, and
+    applies them to a 1-D record or to a 2-D stack (rows x samples) with
+    one rfft/irfft along the samples axis: x = irfft(Y * conj(H) / denom).
+    lam defaults to 1e-3 * max |H|^2, taken from the transform at the
+    length of the full convolution of a record with h; that length is
+    n_fft whenever n_out <= n_in, and then H itself is reused.
+    """
+
+    def __init__(self, taps: np.ndarray, dt: float, n_in: int, n_out: int, lam: float | None = None):
+        _kernel_peak(taps)
+        m = len(taps)
+        n_probe = scipy.fft.next_fast_len(n_in + m - 1)
+        self.n_fft = scipy.fft.next_fast_len(max(n_in + m - 1, n_out + m - 1))
+        self.n_in = n_in
+        self.n_out = n_out
+        self.H = scipy.fft.rfft(taps, self.n_fft) * dt
+        power = np.abs(self.H) ** 2
+        if lam is None:
+            probe = power if n_probe == self.n_fft else np.abs(scipy.fft.rfft(taps, n_probe) * dt) ** 2
+            lam = 1e-3 * float(np.max(probe))
+        if not lam >= 0:
+            raise DomainError(f"regularization weight must be >= 0, got {lam}")
+        self.lam = lam
+        self.H_conj = np.conj(self.H)
+        self.denom = power + lam
+        if np.any(self.denom == 0.0):
+            raise IllConditionedError("kernel transform vanishes and no regularization was given")
+
+    def apply(self, samples: np.ndarray) -> np.ndarray:
+        """Recovered input of each record along the last axis (n_in -> n_out samples)."""
+        if samples.shape[-1] != self.n_in:
+            raise ConfigurationError(f"records have {samples.shape[-1]} samples, the solve expects {self.n_in}")
+        Y = scipy.fft.rfft(samples, self.n_fft, axis=-1)
+        return scipy.fft.irfft(Y * self.H_conj / self.denom, self.n_fft, axis=-1)[..., : self.n_out]
 
 
 def inverse_filter_iv(y: SampledSignal, params: PkParams) -> SampledSignal:

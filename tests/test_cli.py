@@ -5,6 +5,7 @@ import pytest
 
 from pklink.channel import PkParams, Route, ev_concentration
 from pklink.cli import main
+from pklink.scenarios import resolve_scenario
 
 from conftest import BENCH_DOSE, BENCH_K_A, BENCH_K_E, BENCH_V
 
@@ -16,7 +17,7 @@ GOLDEN_PLAN_WARNING = (
 
 
 def test_scenarios_listing(capsys):
-    assert main(["scenarios", "--list"]) == 0
+    assert main(["scenarios"]) == 0
     out = capsys.readouterr().out
     for name in ("human-oral", "rat-oral", "bench-iv", "bench-ev", "link-iv", "link-ev"):
         assert name in out
@@ -141,12 +142,30 @@ def test_usage_errors_exit_with_2(tmp_path, capsys):
     assert main(["plan", "--mode", "orbit"]) == 2  # rejected by the parser
     assert main(["link", "--scenario", "bench-iv"]) == 2  # no modulation section
     assert main(["impulse", "--scenario", "bench-iv", "--engine", "ode"]) == 2  # link-only flag
+    assert main(["scenarios", "--list"]) == 2  # listing takes no flag
     capsys.readouterr()
     out = tmp_path / "missing-dir" / "x.csv"  # an output path that cannot be opened
     for argv in (["simulate", "--scenario", "bench-iv"], ["link", "--scenario", "link-iv"]):
         assert main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot open output file")
+        assert "Traceback" not in err
+
+
+def test_scenario_numbers_must_be_finite(tmp_path, capsys):
+    cases = (
+        ("link-ev", "  sigma: 0.0\n", "  sigma: .nan\n", ["link"], "noise.sigma"),
+        ("link-ev", "  sigma: 0.0\n", "  sigma: 1" + "0" * 400 + "\n", ["link"], "noise.sigma"),
+        ("bench-iv", "- 650.0\n- 300.0\n", "- a\n- b\n", ["plan", "--mode", "volumes"], "nominal_volumes.V_a"),
+    )
+    for name, old, new, command, field in cases:
+        text = resolve_scenario(name).to_text()
+        assert old in text
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(text.replace(old, new))
+        assert main(command + ["--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"scenario field {field}" in err
         assert "Traceback" not in err
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pklink.channel import PkParams, Route, superpose
 from pklink.errors import (
@@ -16,6 +18,7 @@ from pklink.modem import (
     BitFrame,
     ModulationConfig,
     PassivePill,
+    Receiver,
     add_noise,
     ber,
     ber_sweep,
@@ -26,7 +29,7 @@ from pklink.modem import (
 )
 from pklink.signals import SampledSignal, SignalRole, sample
 
-from conftest import BENCH_DOSE, rel_max
+from conftest import BENCH_DOSE, BENCH_K_A, BENCH_K_E, BENCH_V, rel_max
 
 
 def _link_config(route, pump_rate=1.3):
@@ -229,3 +232,90 @@ def test_ber_sweep_is_reproducible_and_ordered(bench_pk):
     assert a[-1] > 0.0
     with pytest.raises(DomainError):
         ber_sweep(bench_pk, config, sigmas, n_frames=0)
+
+
+# BER lists of the frame-by-frame sweep (add_noise then detect for every
+# frame and sigma), which the batched sweep must reproduce exactly:
+# 30 frames, seed 7 unless noted, sigmas GOLDEN_SIGMAS.
+GOLDEN_SIGMAS = (0.0, 0.05, 0.15, 0.5, 1.5)
+GOLDEN_BER = [
+    ((Route.INTRAVENOUS, 1.3, {}),
+     [0.0, 0.0, 0.11666666666666667, 0.4041666666666667, 0.4791666666666667]),
+    ((Route.INTRAVENOUS, None, {}),
+     [0.6333333333333333, 0.4708333333333333, 0.37083333333333335, 0.45, 0.48333333333333334]),
+    ((Route.EXTRAVASCULAR, 1.3, {}),
+     [0.0, 0.0625, 0.3458333333333333, 0.5166666666666667, 0.5291666666666667]),
+    ((Route.EXTRAVASCULAR, None, {}),
+     [0.3875, 0.35833333333333334, 0.4375, 0.49583333333333335, 0.5291666666666667]),
+    ((Route.EXTRAVASCULAR, 1.3, {"seed": 5, "spike_prob": 0.01, "spike_scale": 0.5}),
+     [0.10833333333333334, 0.12916666666666668, 0.3541666666666667, 0.48333333333333334, 0.5125]),
+]
+
+
+@pytest.mark.parametrize("case, expected", GOLDEN_BER)
+def test_ber_sweep_matches_the_frame_by_frame_golden_values(bench_pk, case, expected):
+    route, pump_rate, options = case
+    options = {"seed": 7, **options}
+    rates = ber_sweep(bench_pk, _link_config(route, pump_rate), GOLDEN_SIGMAS, n_frames=30, **options)
+    assert rates == expected
+
+
+def test_ber_sweep_keeps_the_frame_by_frame_validation(bench_pk):
+    config = _link_config(Route.INTRAVENOUS)
+    with pytest.raises(DomainError):
+        ber_sweep(bench_pk, config, [0.1, -0.1], n_frames=2)
+    with pytest.raises(DomainError):
+        ber_sweep(bench_pk, config, [float("nan")], n_frames=2)  # non-finite samples
+    with pytest.raises(DomainError):
+        ber_sweep(bench_pk, config, [0.1], n_frames=2, spike_prob=2.0)
+    with pytest.raises(ConfigurationError):
+        ber_sweep(bench_pk, config, [0.1], n_frames=2, dt=7.0)
+    with pytest.raises(DomainError):
+        ber_sweep(bench_pk, config, [0.1], n_frames=2, lam=-1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    route=st.sampled_from((Route.INTRAVENOUS, Route.EXTRAVASCULAR)),
+    dt=st.sampled_from((5.0, 6.0, 12.0, 30.0)),
+    lam=st.sampled_from((None, 0.0)),
+    n_windows=st.integers(min_value=2, max_value=15),
+    rows=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=1800.0),  # frame start, s
+            st.tuples(*[st.integers(0, 1)] * 8),  # payload
+            st.sampled_from((0.0, 0.05, 0.5)),  # sigma
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_a_stack_decodes_like_each_record_alone(route, dt, lam, n_windows, rows):
+    bench_pk = PkParams(k_e=BENCH_K_E, V=BENCH_V, k_a=BENCH_K_A)
+    config = _link_config(route)
+    w = int(round(600.0 / dt))
+    n = n_windows * w + 1
+    records = [
+        add_noise(_clean_frame_signal(bench_pk, config, payload, dt, n, start=start), sigma, seed=j)
+        for j, (start, payload, sigma) in enumerate(rows)
+    ]
+    receiver = Receiver(bench_pk, config, dt, n, lam=lam)
+    recovered, stats, starts = receiver.decode(np.array([r.samples for r in records]))
+    decisions, held = receiver.payload_decisions(stats, starts, 8)
+    for i, record in enumerate(records):
+        try:
+            report = detect(record, bench_pk, config, payload_length=8, lam=lam)
+        except SynchronizationError:
+            assert starts[i] == -1
+            continue
+        except TruncationError:
+            assert starts[i] >= 0 and not held[i]
+            continue
+        k = int(starts[i])
+        assert held[i]
+        assert report.statistics == tuple(float(s) for s in stats[i, k : k + len(PREAMBLE) + 8])
+        assert report.frame_start == k * w * dt
+        assert report.decisions == tuple(int(s > report.threshold) for s in stats[i, k : k + 11])
+        assert report.payload_bits == tuple(int(b) for b in decisions[i])
+        assert np.array_equal(report.recovered.samples, recovered[i])
+

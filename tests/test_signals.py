@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,7 @@ from pklink.signals import (
     SampledSignal,
     SignalRole,
     Spectrum,
+    TikhonovSolve,
     convolve,
     deconvolve,
     dose_rate_signal,
@@ -209,6 +211,35 @@ def test_deconvolve_output_length_and_origin(bench_pk):
     assert back.t0 == 10.0
     assert len(back) == 64
     assert rel_max(back.samples, x.samples) < 1e-9
+
+
+def test_default_weight_is_a_thousandth_of_the_peak_kernel_power(bench_pk):
+    # lam=None must equal the explicit 1e-3 * max |H|^2 bit for bit, whether
+    # the solve reuses its own kernel transform (probe length = n_fft) or,
+    # for an output longer than the record, transforms at the probe length
+    rng = np.random.default_rng(5)
+    dt = 6.0
+    for n, m, n_out in ((1984, 1984, 1984), (3001, 400, None), (500, 100, 900)):
+        h = sampled_kernel(bench_pk, Route.EXTRAVASCULAR, dt, m)
+        y = SampledSignal(0.0, dt, rng.random(n), SignalRole.CONCENTRATION)
+        n_probe = scipy.fft.next_fast_len(n + m - 1)
+        lam = 1e-3 * float(np.max(np.abs(scipy.fft.rfft(h.samples, n_probe) * dt) ** 2))
+        default = deconvolve(y, h, output_length=n_out)
+        explicit = deconvolve(y, h, lam=lam, output_length=n_out)
+        assert np.array_equal(default.samples, explicit.samples)
+
+
+def test_tikhonov_solve_decodes_a_stack_row_by_row(bench_pk):
+    rng = np.random.default_rng(6)
+    dt, n = 5.0, 1251
+    h = sampled_kernel(bench_pk, Route.INTRAVENOUS, dt, n)
+    solve = TikhonovSolve(h.samples, dt, n, n)
+    stack = rng.random((4, n))
+    assert np.array_equal(solve.apply(stack), np.array([solve.apply(row) for row in stack]))
+    with pytest.raises(ConfigurationError):
+        solve.apply(stack[:, :-1])
+    with pytest.raises(DomainError):
+        TikhonovSolve(h.samples, dt, n, n, lam=float("nan"))
 
 
 def test_regularization_tames_noise_amplification(bench_pk):
