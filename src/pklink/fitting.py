@@ -58,42 +58,69 @@ class ConcentrationSeries:
     def from_csv(cls, path, route: Route, dose: float, column: str | int = 1) -> "ConcentrationSeries":
         """Read t plus one concentration column from a headed CSV file.
 
-        column selects the concentration values by header name or by index
-        (default: the column after t).  Malformed rows fail with the line
-        number.
+        The header's first name is t; column selects the concentration
+        values by header name or by index (default: the column after t).
+        Blank lines and full-line # comments are skipped.  Malformed rows
+        and undecodable bytes fail with a DataError naming the file, and
+        malformed rows also name the line.
         """
         try:
             fh = open(path, newline="")
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
         with fh:
-            header = fh.readline().strip()
-            names = header.split(",")
-            if len(names) < 2 or names[0] != "t":
-                raise DataError(f"{path}: line 1: expected a header starting with t")
-            if isinstance(column, str):
-                if column not in names:
-                    raise DataError(f"{path}: line 1: no column named {column!r} in {names}")
-                idx = names.index(column)
-            else:
-                idx = int(column)
-                if not (1 <= idx < len(names)):
-                    raise DataError(f"{path}: line 1: column index {idx} out of range")
-            times: list[float] = []
-            values: list[float] = []
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                if len(parts) != len(names):
-                    raise DataError(f"{path}: line {lineno}: expected {len(names)} columns, got {len(parts)}")
-                try:
-                    times.append(float(parts[0]))
-                    values.append(float(parts[idx]))
-                except ValueError as exc:
-                    raise DataError(f"{path}: line {lineno}: {exc}") from exc
-        return cls(times=np.array(times), concentrations=np.array(values), route=route, dose=dose)
+            try:
+                header = fh.readline()
+                lines = fh.readlines()
+            except UnicodeDecodeError as exc:
+                raise DataError(f"cannot decode {path}: {exc}") from exc
+        names = header.strip().split(",")
+        if len(names) < 2 or names[0] != "t":
+            raise DataError(f"{path}: line 1: expected a header starting with t")
+        if isinstance(column, str):
+            if column not in names:
+                raise DataError(f"{path}: line 1: no column named {column!r} in {names}")
+            idx = names.index(column)
+        else:
+            idx = int(column)
+            if not (1 <= idx < len(names)):
+                raise DataError(f"{path}: line 1: column index {idx} out of range")
+        # np.loadtxt converts a field as float() does, so a body it reads whole
+        # gives the loop's arrays; any other body (a malformed row, or a
+        # spelling only float() reads, such as 1_000) goes through the loop.
+        rows = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+        table = None
+        if rows:
+            try:
+                table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
+        if table is not None and table.shape == (len(rows), len(names)):
+            times, values = table[:, 0], table[:, idx]
+        else:
+            times, values = _parse_lines(path, lines, len(names), idx)
+        return cls(times=times, concentrations=values, route=route, dose=dose)
+
+
+def _parse_lines(path, lines: list[str], width: int, idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Line-by-line reading of a CSV body (line 2 on): the path for the
+    files np.loadtxt rejects.  It names the first malformed line, and
+    parses only t and the selected column, each with Python float()."""
+    times: list[float] = []
+    values: list[float] = []
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise DataError(f"{path}: line {lineno}: expected {width} columns, got {len(parts)}")
+        try:
+            times.append(float(parts[0]))
+            values.append(float(parts[idx]))
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
+    return np.array(times), np.array(values)
 
 
 @dataclass(frozen=True)

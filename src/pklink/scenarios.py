@@ -25,6 +25,11 @@ from .testbed import PlatformConfig, plan_flows, plan_volumes
 
 SCENARIO_DIR_ENV = "MOCOBO_SCENARIO_DIR"
 
+# libyaml's parser where PyYAML was built with it.  PyYAML's Python
+# SafeConstructor builds the values with either loader, so a document both
+# parsers accept loads to the same objects.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -307,8 +312,10 @@ class Scenario:
     @classmethod
     def from_text(cls, text: str) -> "Scenario":
         try:
-            doc = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
+            doc = yaml.load(text, Loader=_YAML_LOADER)
+        except (yaml.YAMLError, UnicodeEncodeError) as exc:
+            # libyaml reads UTF-8, so a lone surrogate fails as an encoding
+            # error where the Python reader reports a non-printable character.
             raise UsageError(f"scenario parse error: {exc}") from exc
         return cls.from_mapping(doc)
 
@@ -319,6 +326,8 @@ class Scenario:
                 text = fh.read()
         except OSError as exc:
             raise UsageError(f"cannot read scenario file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"cannot decode scenario file {path}: {exc}") from exc
         return cls.from_text(text)
 
 

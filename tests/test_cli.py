@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from pklink.channel import PkParams, Route, ev_concentration
-from pklink.cli import main
+from pklink import fitting
+from pklink.channel import (
+    Normalization,
+    PkParams,
+    Route,
+    ev_concentration,
+    impulse_response,
+    peak_time,
+)
+from pklink.cli import CSV_BLOCK_ROWS, main, run_simulate
 from pklink.scenarios import resolve_scenario
 
 from conftest import BENCH_DOSE, BENCH_K_A, BENCH_K_E, BENCH_V
@@ -150,6 +158,12 @@ def test_usage_errors_exit_with_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: cannot open output file")
         assert "Traceback" not in err
+    undecodable = tmp_path / "latin1.yaml"
+    undecodable.write_bytes(resolve_scenario("bench-iv").to_text().replace("bench", "b\xe9nch").encode("latin-1"))
+    assert main(["simulate", "--scenario", str(undecodable)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot decode scenario file {undecodable}")
+    assert "Traceback" not in err
 
 
 def test_scenario_numbers_must_be_finite(tmp_path, capsys):
@@ -181,6 +195,13 @@ def test_data_errors_exit_with_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read")
     assert "Traceback" not in err
+    undecodable = tmp_path / "latin1.csv"
+    undecodable.write_bytes(b"t,conc\n0.0,1.0\n10.0,0.5\n# \xb5g/mL\n20.0,0.25\n")
+    code = main(["fit", "--csv", str(undecodable), "--route", "intravenous", "--dose", "10"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot decode {undecodable}")
+    assert "Traceback" not in err
 
 
 def test_numeric_errors_exit_with_4(capsys):
@@ -202,3 +223,58 @@ def test_output_is_byte_identical_across_runs(tmp_path):
         assert main(["impulse", "--scenario", "rat-oral", "--horizon", "3000",
                      "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _reference_csv(header, columns) -> str:
+    """The CSV the writer must produce: each value as repr(float(v))."""
+    rows = zip(*columns)
+    return ",".join(header) + "\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("dt, horizon", [(None, None), (0.5, None), (None, 8191.0)])
+def test_csv_writer_formats_every_value_as_its_repr(tmp_path, dt, horizon):
+    # bench-ev has 8001 rows; dt 0.5 gives 16001 (not a multiple of the
+    # block) and horizon 8191 gives 8192, a whole number of blocks.
+    scenario = resolve_scenario("bench-ev").with_overrides(dt=dt, horizon=horizon)
+    overrides = (["--dt", repr(dt)] if dt else []) + (["--horizon", repr(horizon)] if horizon else [])
+    n = scenario.grid_size()
+    assert n > CSV_BLOCK_ROWS
+    sim = tmp_path / "sim.csv"
+    assert main(["simulate", "--scenario", "bench-ev", "--out", str(sim)] + overrides) == 0
+    signals, deviations = run_simulate(scenario)
+    engines = ("analytic", "ode", "platform")
+    summary = " ".join(f"{key}={float(value)!r}" for key, value in deviations.items())
+    expected = _reference_csv(("t",) + engines, [signals["analytic"].times] + [signals[e].samples for e in engines])
+    assert sim.read_bytes() == (expected + f"# max_rel_dev {summary}\n").encode()
+
+    imp = tmp_path / "impulse.csv"
+    assert main(["impulse", "--scenario", "bench-ev", "--out", str(imp)] + overrides) == 0
+    t = np.arange(n) * scenario.dt
+    header, columns = ["t"], [t]
+    for route, tag in ((Route.INTRAVENOUS, "iv"), (Route.EXTRAVASCULAR, "ev")):
+        conc = impulse_response(scenario.pk, route, t, Normalization.CONCENTRATION)
+        peak = impulse_response(scenario.pk, route, peak_time(scenario.pk, route), Normalization.CONCENTRATION)
+        header += [f"{tag}_amount", f"{tag}_conc", f"{tag}_norm"]
+        columns += [impulse_response(scenario.pk, route, t, Normalization.AMOUNT), conc, conc / peak]
+    assert imp.read_bytes() == _reference_csv(header, columns).encode()
+
+
+def test_simulate_then_fit_recovers_the_bench_rates(tmp_path, capsys, monkeypatch):
+    # bench-ev with its 30 s infusion made a bolus, the dose the fit models.
+    # The fit reads the platform column by name, past the # max_rel_dev
+    # trailer, without falling back to the line-by-line reader.
+    scenario = tmp_path / "bench-ev-bolus.yaml"
+    text = resolve_scenario("bench-ev").to_text()
+    assert "duration: 30.0" in text
+    scenario.write_text(text.replace("duration: 30.0", "duration: 0.0"))
+    sim = tmp_path / "s.csv"
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(sim)]) == 0
+    assert sim.read_text().splitlines()[-1].startswith("# max_rel_dev ")
+    monkeypatch.setattr(fitting, "_parse_lines", None)
+    code = main([
+        "fit", "--csv", str(sim), "--column", "platform", "--route", "extravascular", "--dose", str(BENCH_DOSE),
+    ])
+    assert code == 0
+    report = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert float(report["k_a"]) == pytest.approx(BENCH_K_A, rel=1e-4)
+    assert float(report["k_e"]) == pytest.approx(BENCH_K_E, rel=1e-4)

@@ -1,7 +1,13 @@
 """Parameter estimation: curve stripping, damped least squares, diagnostics."""
 
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pklink.channel import PkParams, Route, ev_concentration, iv_concentration
 from pklink.errors import ConvergenceError, DataError, DomainError
@@ -60,6 +66,89 @@ def test_series_from_csv(tmp_path):
     path.write_text("t,c\n60.0,0.1\n120.0,bad\n300.0,0.3\n900.0,0.2\n")
     with pytest.raises(DataError, match="line 3"):
         ConcentrationSeries.from_csv(path, Route.EXTRAVASCULAR, 100.0)
+
+
+def _reference_rows(path, idx):
+    """The line loop from_csv is held to: the arrays of t and column idx,
+    or the number of the first line it rejects."""
+    times, values = [], []
+    with open(path, newline="") as fh:
+        width = len(fh.readline().strip().split(","))
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if len(parts) != width:
+                return lineno
+            try:
+                times.append(float(parts[0]))
+                values.append(float(parts[idx]))
+            except ValueError:
+                return lineno
+    return np.array(times), np.array(values)
+
+
+def _numeral(x: float, form: int) -> str:
+    text = repr(x)
+    if form == 1:  # Python float() reads digit separators, np.loadtxt does not
+        return re.sub(r"^(-?\d)(\d)", r"\1_\2", text)
+    if form == 2:
+        return f" {text}\t"
+    if form == 3:
+        return f"{x:.6e}"
+    return text
+
+
+_bad_fields = st.sampled_from(["", "oops", "1..0", "nan", "1e999", "0x10", "1_", "--1", "1.0 # note"])
+
+
+@st.composite
+def _csv_files(draw):
+    width = draw(st.integers(2, 3))
+    lines = ["t," + ",".join(f"c{j}" for j in range(1, width))]
+    t = 0.0
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["comment", "blank", "bad", "width", "note"]))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(["# note", "   # indented", "#", "#1.0,2.0"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        else:
+            t += draw(st.floats(0.5, 100.0))
+            fields = [t] + [draw(st.floats(-1e3, 1e3, allow_subnormal=False)) for _ in range(width - 1)]
+            parts = [_numeral(v, draw(st.integers(0, 6))) for v in fields]
+            if kind == "bad":
+                parts[draw(st.integers(0, width - 1))] = draw(_bad_fields)
+            elif kind == "width":
+                parts = parts[:-1] if draw(st.booleans()) else parts + ["0.0"]
+            elif kind == "note":  # a trailing comment is not a comment line
+                parts[-1] += " # note"
+            lines.append(",".join(parts))
+    endings = [draw(st.sampled_from(["\n", "\n", "\r\n"])) for _ in lines]
+    return "".join(line + end for line, end in zip(lines, endings)), draw(st.integers(1, width - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_csv_files())
+def test_csv_reader_matches_the_line_loop(case):
+    text, idx = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "curve.csv"
+        path.write_bytes(text.encode())
+        expected = _reference_rows(path, idx)
+        if isinstance(expected, int):
+            with pytest.raises(DataError, match=f": line {expected}: "):
+                ConcentrationSeries.from_csv(path, Route.INTRAVENOUS, 10.0, column=idx)
+            return
+        try:
+            series = ConcentrationSeries.from_csv(path, Route.INTRAVENOUS, 10.0, column=idx)
+        except DataError as exc:  # the rows parse but fail the series checks
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                ConcentrationSeries(*expected, Route.INTRAVENOUS, 10.0)
+            return
+    assert series.times.tobytes() == expected[0].tobytes()
+    assert series.concentrations.tobytes() == expected[1].tobytes()
 
 
 def test_predict_agrees_with_channel_forms():

@@ -84,6 +84,9 @@ def test_mapping_errors_carry_field_paths():
         Scenario.from_mapping(modulated)
     with pytest.raises(UsageError):
         Scenario.from_text("just: [unclosed")
+    for text in ("name: \x01\n", "name: '\ud800'\n"):  # a control character, a lone surrogate
+        with pytest.raises(UsageError, match="scenario parse error"):
+            Scenario.from_text(text)
 
 
 def test_payload_accepts_string_or_list():
