@@ -1,8 +1,14 @@
 """Command-line interface: subcommands, file output, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pklink
 from pklink import fitting
 from pklink.channel import (
     Normalization,
@@ -22,6 +28,16 @@ GOLDEN_PLAN_WARNING = (
     "the nominal volumes (V_a=650.0, V_b=300.0) by more than 1%; the nominal pair is "
     "inconsistent with Q = k*V and looks swapped."
 )
+
+
+def test_cli_import_loads_no_scipy():
+    # the test process has scipy loaded already, so look from a fresh one
+    package_root = str(Path(pklink.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = "import sys, pklink.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_scenarios_listing(capsys):

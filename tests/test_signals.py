@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings
+import scipy.signal
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pklink.channel import (
@@ -23,6 +24,8 @@ from pklink.errors import (
     IllConditionedError,
 )
 from pklink.signals import (
+    FFT_CONVOLUTION_THRESHOLD,
+    SCAN_BLOCK,
     RationalResponse,
     SampledSignal,
     SignalRole,
@@ -31,8 +34,10 @@ from pklink.signals import (
     convolve,
     deconvolve,
     dose_rate_signal,
+    first_order_scan,
     integrate_ode,
     inverse_filter_iv,
+    next_fast_len,
     sample,
     sampled_kernel,
     spectrum,
@@ -94,6 +99,17 @@ def test_sample_falls_back_to_scalar_functions():
     assert scalar.samples.shape == (20,)
 
 
+def test_sample_propagates_errors_of_vectorized_callables():
+    # only TypeError, what math.exp raises on an array, selects the
+    # point-by-point path; a ValueError from a branch on an array is a bug
+    # in the callable and must surface, even though each point would pass
+    def scalar_branch(t):
+        return 0.0 if t < 1.0 else math.exp(-t)
+
+    with pytest.raises(ValueError, match="ambiguous"):
+        sample(scalar_branch, 0.0, 0.5, 20)
+
+
 def test_sampled_kernel_uses_midpoint_taps(bench_pk):
     dt = 2.0
     k = sampled_kernel(bench_pk, Route.EXTRAVASCULAR, dt, 6)
@@ -140,6 +156,55 @@ def test_direct_and_fft_convolution_agree():
     assert rel_max(fft_out, direct) < 1e-9
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    n_x=st.integers(min_value=1, max_value=20000),
+    n_h=st.integers(min_value=1, max_value=20000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n_x=FFT_CONVOLUTION_THRESHOLD, n_h=1, seed=0)
+@example(n_x=1, n_h=FFT_CONVOLUTION_THRESHOLD + 7, seed=1)
+def test_fft_convolution_matches_fftconvolve(n_x, n_h, seed):
+    n_x = max(n_x, FFT_CONVOLUTION_THRESHOLD + 1 - n_h)
+    rng = np.random.default_rng(seed)
+    x = SampledSignal(0.0, 0.5, rng.standard_normal(n_x), SignalRole.MASS_RATE)
+    h = SampledSignal(0.0, 0.5, rng.random(n_h), SignalRole.CONCENTRATION)
+    expect = scipy.signal.fftconvolve(x.samples, h.samples) * x.dt
+    assert rel_max(convolve(x, h).samples, expect) < 1e-12
+
+
+def test_next_fast_len_matches_scipy():
+    assert [next_fast_len(n) for n in range(1, 20001)] == [scipy.fft.next_fast_len(n) for n in range(1, 20001)]
+    with pytest.raises(DomainError):
+        next_fast_len(0)
+
+
+def _scan_loop(d, p):
+    y, state = [], 0.0
+    for value in d.tolist():
+        state = value + p * state
+        y.append(state)
+    return np.array(y)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k_dt=st.floats(min_value=1e-7, max_value=0.1),
+    n=st.one_of(
+        st.sampled_from([1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1]),
+        st.integers(min_value=1, max_value=300_000),
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(k_dt=1e-7, n=300_000, seed=0)
+def test_first_order_scan_matches_a_plain_loop(k_dt, n, seed):
+    # p is a diagonal entry of the RK4 step map for a rate k at step dt
+    z = -k_dt
+    p = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+    d = np.random.default_rng(seed).standard_normal(n) + 0.5
+    assert rel_max(first_order_scan(d, p), _scan_loop(d, p)) < 1e-12
+
+
 @settings(max_examples=30, deadline=None)
 @given(scale=st.floats(min_value=-3.0, max_value=3.0))
 def test_convolution_is_linear(scale):
@@ -175,6 +240,27 @@ def test_time_deconvolution_round_trip(bench_pk):
     h = _plain_iv_kernel(bench_pk, dt, 1500)
     back = deconvolve(convolve(x, h), h, method="time")
     assert rel_max(back.samples, x.samples) < 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_h=st.sampled_from([1, 2, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 700]),
+    n_y=st.integers(min_value=1, max_value=2000),
+    n_out=st.sampled_from([1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 1500]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_time_deconvolution_matches_lfilter(n_h, n_y, n_out, seed):
+    # the recursion 1 / h(z) run over the record zero-padded to n_out samples
+    rng = np.random.default_rng(seed)
+    taps = rng.random(n_h)
+    taps[0] += n_h
+    y = SampledSignal(0.0, 0.5, rng.standard_normal(n_y), SignalRole.CONCENTRATION)
+    h = SampledSignal(0.0, 0.5, taps, SignalRole.CONCENTRATION)
+    padded = np.zeros(max(n_out, n_y))
+    padded[:n_y] = y.samples
+    expect = scipy.signal.lfilter([1.0], taps, padded)[:n_out] / y.dt
+    got = deconvolve(y, h, method="time", output_length=n_out).samples
+    assert rel_max(got, expect) < 1e-12
 
 
 def test_time_deconvolution_rejects_zero_leading_tap(bench_pk):
