@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 
 import numpy as np
 
 from .channel import PkParams, Route, Normalization, impulse_response, peak_time, superpose
-from .errors import PkLinkError, UsageError, exit_code_for
+from .errors import ConfigurationError, PkLinkError, UsageError, exit_code_for
 from .fitting import ConcentrationSeries, fit_least_squares, fit_residuals
-from .modem import DetectionReport, add_noise, detect
+from .modem import DetectionReport, add_noise, detect, symbol_samples
 from .scenarios import Scenario, builtin_scenarios, resolve_scenario
 from .signals import SampledSignal, SignalRole, dose_rate_signal, integrate_ode, sample
 from .testbed import PlatformConfig, PlatformTrace, plan_flows, plan_volumes, simulate_platform
@@ -133,6 +134,10 @@ def run_link(scenario: Scenario, engine: str = "analytic", lam: float | None = N
     """Transmit the scenario frame and demodulate the received signal."""
     if scenario.modulation is None or scenario.payload is None:
         raise UsageError(f"scenario {scenario.name!r} has no modulation/payload section")
+    try:
+        symbol_samples(scenario.modulation, scenario.dt)
+    except ConfigurationError as exc:
+        raise UsageError(str(exc)) from None
     received = run_engine(scenario, engine)
     if not scenario.noise.silent:
         received = add_noise(
@@ -249,6 +254,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_link(args) -> int:
+    if args.lam is not None and not (math.isfinite(args.lam) and args.lam >= 0):
+        raise UsageError(f"--lam must be a finite number >= 0, got {args.lam}")
     scenario = _load_scenario(args)
     report = run_link(scenario, engine=args.engine, lam=args.lam)
     with _output(args.out) as fh:

@@ -12,8 +12,10 @@ or by filesystem path.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import re
 from dataclasses import dataclass, field, replace
 
 import yaml
@@ -25,10 +27,40 @@ from .testbed import PlatformConfig, plan_flows, plan_volumes
 
 SCENARIO_DIR_ENV = "MOCOBO_SCENARIO_DIR"
 
-# libyaml's parser where PyYAML was built with it.  PyYAML's Python
-# SafeConstructor builds the values with either loader, so a document both
-# parsers accept loads to the same objects.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """Safe loader that also reads YAML 1.2 floats such as 1e-3.
+
+    It uses libyaml's parser where PyYAML was built with it.  PyYAML's
+    Python resolver and SafeConstructor build the values with either
+    parser, so a document both parsers accept loads to the same objects.
+    YAML 1.1, which PyYAML follows, needs a dot in a float, so 1e-3 would
+    load as a string; the YAML 1.2 core-schema float pattern is added
+    after the 1.1 ones, so every plain scalar those resolve keeps its
+    type.  Quoted scalars are never resolved and stay strings.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"),
+)
+
+
+@contextlib.contextmanager
+def _field_errors(key: str):
+    """Report a package error inside a section as a usage error on field key.
+
+    A UsageError already names its field (number() raises one) and passes
+    through unchanged.
+    """
+    try:
+        yield
+    except UsageError:
+        raise
+    except PkLinkError as exc:
+        raise UsageError(f"scenario field {key}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -194,21 +226,19 @@ class Scenario:
             ) from None
 
         pk_doc = section("pk", required=True)
-        try:
+        with _field_errors("pk"):
             pk = PkParams(
                 k_e=number(pk_doc, "pk.k_e"),
                 V=number(pk_doc, "pk.V"),
                 k_a=None if pk_doc.get("k_a") is None else number(pk_doc, "pk.k_a"),
                 F=number(pk_doc, "pk.F", 1.0),
             )
-        except PkLinkError as exc:
-            raise UsageError(f"scenario field pk: {exc}") from exc
 
         grid = section("grid", required=True)
         platform = None
         if "platform" in doc:
             plat = section("platform")
-            try:
+            with _field_errors("platform"):
                 platform = PlatformConfig(
                     Q_a=number(plat, "platform.Q_a"),
                     Q_e=number(plat, "platform.Q_e"),
@@ -216,8 +246,6 @@ class Scenario:
                     V_b=number(plat, "platform.V_b"),
                     route=route,
                 )
-            except PkLinkError as exc:
-                raise UsageError(f"scenario field platform: {exc}") from exc
 
         nominal = None
         if "nominal_volumes" in doc:
@@ -236,7 +264,7 @@ class Scenario:
             for i, entry in enumerate(raw_doses):
                 if not isinstance(entry, dict):
                     raise UsageError(f"scenario field doses[{i}]: must be a mapping")
-                try:
+                with _field_errors(f"doses[{i}]"):
                     events.append(
                         DoseEvent(
                             time=number(entry, f"doses[{i}].time"),
@@ -244,23 +272,19 @@ class Scenario:
                             duration=number(entry, f"doses[{i}].duration", 0.0),
                         )
                     )
-                except PkLinkError as exc:
-                    raise UsageError(f"scenario field doses[{i}]: {exc}") from exc
             doses = DoseSchedule(events=tuple(events))
 
         modulation = None
         if "modulation" in doc:
             mod = section("modulation")
             pump = mod.get("pump_rate")
-            try:
+            with _field_errors("modulation"):
                 modulation = ModulationConfig(
                     symbol_period=number(mod, "modulation.symbol_period"),
                     dose_mass=number(mod, "modulation.dose_mass"),
                     route=route,
                     pump_rate=None if pump is None else number(mod, "modulation.pump_rate"),
                 )
-            except PkLinkError as exc:
-                raise UsageError(f"scenario field modulation: {exc}") from exc
 
         payload = None
         if "payload" in doc:
@@ -277,14 +301,12 @@ class Scenario:
                 raise UsageError("scenario field payload: must be a bit string or list")
 
         noise_doc = section("noise")
-        try:
+        with _field_errors("noise"):
             noise = NoiseConfig(
                 sigma=number(noise_doc, "noise.sigma", 0.0),
                 spike_prob=number(noise_doc, "noise.spike_prob", 0.0),
                 spike_scale=number(noise_doc, "noise.spike_scale", 0.0),
             )
-        except PkLinkError as exc:
-            raise UsageError(f"scenario field noise: {exc}") from exc
 
         seed = doc.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
@@ -312,7 +334,7 @@ class Scenario:
     @classmethod
     def from_text(cls, text: str) -> "Scenario":
         try:
-            doc = yaml.load(text, Loader=_YAML_LOADER)
+            doc = yaml.load(text, Loader=_Loader)
         except (yaml.YAMLError, UnicodeEncodeError) as exc:
             # libyaml reads UTF-8, so a lone surrogate fails as an encoding
             # error where the Python reader reports a non-printable character.

@@ -416,7 +416,7 @@ class TikhonovSolve:
         _kernel_peak(taps)
         m = len(taps)
         n_probe = next_fast_len(n_in + m - 1)
-        self.n_fft = next_fast_len(max(n_in + m - 1, n_out + m - 1))
+        self.n_fft = n_probe if n_out <= n_in else next_fast_len(n_out + m - 1)
         self.n_in = n_in
         self.n_out = n_out
         self.H = np.fft.rfft(taps, self.n_fft) * dt
@@ -438,6 +438,30 @@ class TikhonovSolve:
             raise ConfigurationError(f"records have {samples.shape[-1]} samples, the solve expects {self.n_in}")
         Y = np.fft.rfft(samples, self.n_fft, axis=-1)
         return np.fft.irfft(Y * self.H_conj / self.denom, self.n_fft, axis=-1)[..., : self.n_out]
+
+    def window_map(self, window: int, n_windows: int) -> np.ndarray:
+        """The n_in x n_windows matrix M with records @ M the window sums of apply(records).
+
+        Column k sums recovered samples k*window to (k+1)*window - 1, which
+        must lie below n_out.  apply is a circular convolution with
+        g = irfft(conj(H) / denom), so recovered sample i takes record
+        sample j with weight g[(i - j) mod n_fft], and a window sum takes
+        it with s[(k*window - j) mod n_fft], s[l] = g[l] + ... +
+        g[l + window - 1].  s is formed in the frequency domain, as g's
+        transform times the conjugate transform of a box of window ones: a
+        running sum of g would cancel badly where lam is 0 and g is large.
+        """
+        if window * n_windows > self.n_out:
+            raise ConfigurationError(
+                f"{n_windows} windows of {window} samples exceed the {self.n_out} recovered samples"
+            )
+        box = np.fft.rfft(np.ones(window), self.n_fft)
+        s = np.fft.irfft(self.H_conj / self.denom * np.conj(box), self.n_fft)
+        # r lists s at lags 1 - n_in ... n_windows * window, so column k,
+        # lags k*window - j for j = 0 ... n_in - 1, is a reversed run of r
+        r = s[np.arange(1 - self.n_in, window * n_windows + 1) % self.n_fft]
+        runs = np.lib.stride_tricks.sliding_window_view(r, self.n_in)[: window * n_windows : window]
+        return runs[:, ::-1].T.copy()
 
 
 def inverse_filter_iv(y: SampledSignal, params: PkParams) -> SampledSignal:

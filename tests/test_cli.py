@@ -168,6 +168,11 @@ def test_usage_errors_exit_with_2(tmp_path, capsys):
     assert main(["impulse", "--scenario", "bench-iv", "--engine", "ode"]) == 2  # link-only flag
     assert main(["scenarios", "--list"]) == 2  # listing takes no flag
     capsys.readouterr()
+    for flags in (["--lam", "-1"], ["--lam", "nan"], ["--dt", "7"]):  # 7 s does not divide 600 s
+        assert main(["link", "--scenario", "link-ev"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
     out = tmp_path / "missing-dir" / "x.csv"  # an output path that cannot be opened
     for argv in (["simulate", "--scenario", "bench-iv"], ["link", "--scenario", "link-iv"]):
         assert main(argv + ["--out", str(out)]) == 2

@@ -127,6 +127,23 @@ def test_noise_validation():
         add_noise(x, sigma=0.1, spike_prob=1.5)
 
 
+def test_noise_draws_spikes_only_when_a_sample_can_spike():
+    # reference: the three draws of the add_noise contract, all taken every time
+    def all_three_draws(clean, sigma, spike_prob, spike_scale, seed):
+        rng = np.random.default_rng(seed)
+        n = len(clean)
+        normals = rng.standard_normal(n)
+        spike_at = rng.random(n) < spike_prob
+        spikes = np.where(spike_at, rng.exponential(1.0, n) * spike_scale, 0.0)
+        return np.clip(clean + normals * sigma + spikes, 0.0, None)
+
+    x = SampledSignal(0.0, 1.0, np.linspace(0.0, 0.3, 3000), SignalRole.CONCENTRATION)
+    for sigma, spike_prob, spike_scale in ((0.1, 0.0, 0.0), (0.1, 0.0, 2.0), (0.1, 0.02, 0.5), (0.0, 1.0, 0.5)):
+        for seed in (0, 7, [3, 1]):
+            noisy = add_noise(x, sigma, spike_prob, spike_scale, seed=seed).samples
+            assert np.array_equal(noisy, all_three_draws(x.samples, sigma, spike_prob, spike_scale, seed))
+
+
 def test_noiseless_detection_recovers_the_payload(bench_pk):
     dt, n = 5.0, 3001
     for route in (Route.INTRAVENOUS, Route.EXTRAVASCULAR):
@@ -319,3 +336,57 @@ def test_a_stack_decodes_like_each_record_alone(route, dt, lam, n_windows, rows)
         assert report.payload_bits == tuple(int(b) for b in decisions[i])
         assert np.array_equal(report.recovered.samples, recovered[i])
 
+
+
+def test_ber_grows_with_noise_at_a_thousandth(bench_pk):
+    # 10^4 frames (8 * 10^4 bits) per route at noise levels around BER 1e-3,
+    # where a binomial standard error is a few 1e-4: enough power to see a
+    # receiver whose errors do not grow with the noise
+    cases = ((Route.INTRAVENOUS, (0.06, 0.07, 0.08, 0.09)), (Route.EXTRAVASCULAR, (0.025, 0.03, 0.035)))
+    n_frames = 10_000
+    n_bits = 8 * n_frames
+    for route, sigmas in cases:
+        rates = ber_sweep(bench_pk, _link_config(route), sigmas, n_frames=n_frames, seed=11)
+        assert rates[0] < 1e-3 < rates[-1]
+        for a, b in zip(rates, rates[1:]):
+            se = np.sqrt((a * (1 - a) + b * (1 - b)) / n_bits)
+            assert b >= a - 3.0 * se
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    route=st.sampled_from((Route.INTRAVENOUS, Route.EXTRAVASCULAR)),
+    pump_rate=st.sampled_from((1.3, None)),
+    dt=st.sampled_from((5.0, 6.0, 12.0, 30.0)),
+    lam=st.sampled_from((None, 0.0)),
+    n_windows=st.integers(min_value=2, max_value=15),
+    extra=st.floats(min_value=0.0, max_value=0.999),  # part of a window past the last whole one
+    rows=st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=1800.0), st.tuples(*[st.integers(0, 1)] * 8)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_window_map_matches_the_decoded_window_sums(route, pump_rate, dt, lam, n_windows, extra, rows):
+    bench_pk = PkParams(k_e=BENCH_K_E, V=BENCH_V, k_a=BENCH_K_A)
+    config = _link_config(route, pump_rate)
+    w = int(round(600.0 / dt))
+    n = n_windows * w + int(extra * w)
+    records = np.array([
+        _clean_frame_signal(bench_pk, config, payload, dt, n, start=start).samples for start, payload in rows
+    ])
+    receiver = Receiver(bench_pk, config, dt, n, lam=lam)
+    _, decoded, decoded_starts = receiver.decode(records)
+    stats, starts = receiver.decide(records)
+    # Both paths round in proportion to the gain of the inverse, which is
+    # 16 at the default weight but up to about 5e6 for exact inversion of
+    # the extravascular kernel at dt 5 s, where they agree to about 3e-12
+    # doses (and both sit up to 2e-8 doses from the exact sums).
+    solve = receiver.solve
+    gain = float(np.max(np.abs(solve.H_conj / solve.denom)) * np.max(np.abs(solve.H)))
+    tol = 1e-16 * BENCH_DOSE * max(1e4, gain)
+    assert stats.shape == decoded.shape
+    assert np.max(np.abs(stats - decoded), initial=0.0) <= tol
+    assert np.array_equal(starts, decoded_starts)
+    clear = np.abs(decoded - receiver.threshold) > max(1e-9, tol)
+    assert np.array_equal((stats > receiver.threshold)[clear], (decoded > receiver.threshold)[clear])

@@ -155,3 +155,45 @@ def test_noise_config():
             dt=1.0,
             horizon=100.0,
         )
+
+
+def test_exponent_floats_read_as_yaml_1_2_numbers():
+    text = resolve_scenario("link-ev").to_text()
+    edited = text.replace("k_e: 0.00151", "k_e: 151e-5").replace("sigma: 0.0", "sigma: 1e-2")
+    edited = edited.replace("spike_scale: 0.0", "spike_scale: .5E+1")
+    scenario = Scenario.from_text(edited)
+    assert scenario.pk.k_e == 1.51e-3
+    assert scenario.noise.sigma == 0.01
+    assert scenario.noise.spike_scale == 5.0
+    assert scenario.seed == 6  # plain integers still load as integers
+    with pytest.raises(UsageError, match="must be finite"):
+        Scenario.from_text(text.replace("sigma: 0.0", "sigma: 1e400"))
+    # a quoted scalar is a string, whatever it spells
+    with pytest.raises(UsageError) as caught:
+        Scenario.from_text(text.replace("k_e: 0.00151", "k_e: '1e-3'"))
+    assert str(caught.value) == "scenario field pk.k_e: must be a number, got '1e-3'"
+
+
+def test_field_errors_name_their_field_once():
+    text = resolve_scenario("link-ev").to_text()
+    cases = (
+        ("k_e: 0.00151", "k_e: x", "scenario field pk.k_e: "),
+        ("Q_a: 0.98", "Q_a: x", "scenario field platform.Q_a: "),
+        ("pump_rate: 1.3", "pump_rate: x", "scenario field modulation.pump_rate: "),
+        ("sigma: 0.0", "sigma: x", "scenario field noise.sigma: "),
+    )
+    for old, new, prefix in cases:
+        with pytest.raises(UsageError) as caught:
+            Scenario.from_text(text.replace(old, new))
+        message = str(caught.value)
+        assert message.startswith(prefix)
+        assert message.count("scenario field") == 1
+    with pytest.raises(UsageError) as caught:
+        Scenario.from_mapping({
+            "name": "x", "route": "intravenous", "pk": {"k_e": 1e-3, "V": 100.0},
+            "grid": {"dt": 1.0, "horizon": 100.0}, "doses": [{"time": 0.0, "mass": "x"}],
+        })
+    assert str(caught.value) == "scenario field doses[0].mass: must be a number, got 'x'"
+    # errors of the parameter classes themselves still get the section's name
+    with pytest.raises(UsageError, match="^scenario field pk: "):
+        Scenario.from_text(text.replace("k_e: 0.00151", "k_e: -1.0"))

@@ -328,6 +328,24 @@ def test_tikhonov_solve_decodes_a_stack_row_by_row(bench_pk):
         TikhonovSolve(h.samples, dt, n, n, lam=float("nan"))
 
 
+def test_tikhonov_solve_sizes_and_window_map(bench_pk):
+    # one transform size search when the record bounds the output; the
+    # window-sum map reproduces apply's window sums, also when n_fft is
+    # short of n_in + n_out - 1 and apply wraps around
+    rng = np.random.default_rng(8)
+    dt = 6.0
+    for n_in, m, n_out, window in ((1984, 1984, 1984, 100), (3001, 400, 2500, 7), (500, 100, 900, 30)):
+        h = sampled_kernel(bench_pk, Route.EXTRAVASCULAR, dt, m)
+        solve = TikhonovSolve(h.samples, dt, n_in, n_out)
+        assert solve.n_fft == scipy.fft.next_fast_len(max(n_in, n_out) + m - 1)
+        n_windows = n_out // window
+        stack = rng.random((3, n_in))
+        sums = solve.apply(stack)[:, : n_windows * window].reshape(3, n_windows, window).sum(axis=2)
+        assert rel_max(stack @ solve.window_map(window, n_windows), sums) < 1e-13
+        with pytest.raises(ConfigurationError):
+            solve.window_map(window, n_windows + 1)
+
+
 def test_regularization_tames_noise_amplification(bench_pk):
     # with noise on the observation, the default weight must beat exact
     # inversion, which amplifies high frequencies without bound
