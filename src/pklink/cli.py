@@ -26,7 +26,7 @@ from .fitting import ConcentrationSeries, fit_least_squares, fit_residuals
 from .modem import DetectionReport, add_noise, detect, symbol_samples
 from .scenarios import Scenario, builtin_scenarios, resolve_scenario
 from .signals import SampledSignal, SignalRole, dose_rate_signal, integrate_ode, sample
-from .testbed import PlatformConfig, PlatformTrace, plan_flows, plan_volumes, simulate_platform
+from .testbed import PlatformConfig, plan_flows, plan_volumes, simulate_platform
 
 ENGINES = ("analytic", "ode", "platform")
 

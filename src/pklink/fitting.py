@@ -381,15 +381,3 @@ def fit_least_squares(
 
     k_a, k_e, amp = unpack(theta)
     return _build_result(data, k_e, amp, rss, iterations, "least_squares", k_a, volume)
-
-
-def calibration_scale(model, target) -> float:
-    """Least-squares scale factor s minimizing ||target - s*model||^2."""
-    m = np.asarray(model, dtype=float)
-    g = np.asarray(target, dtype=float)
-    if m.shape != g.shape:
-        raise DomainError(f"model and target shapes differ: {m.shape} vs {g.shape}")
-    denom = float(m @ m)
-    if denom == 0.0:
-        raise DomainError("model signal has zero energy; scale is undefined")
-    return float(m @ g) / denom

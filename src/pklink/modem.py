@@ -201,12 +201,12 @@ def _noisy_rows(clean: np.ndarray, sigmas, spike_prob: float, spike_scale: float
     """
     sigmas = np.asarray(sigmas, dtype=float)
     for sigma in sigmas:
-        if sigma < 0:
-            raise DomainError(f"sigma must be >= 0, got {sigma}")
+        if not (math.isfinite(sigma) and sigma >= 0):
+            raise DomainError(f"sigma must be finite and >= 0, got {sigma}")
     if not (0.0 <= spike_prob <= 1.0):
         raise DomainError(f"spike_prob must lie in [0, 1], got {spike_prob}")
-    if spike_scale < 0:
-        raise DomainError(f"spike_scale must be >= 0, got {spike_scale}")
+    if not (math.isfinite(spike_scale) and spike_scale >= 0):
+        raise DomainError(f"spike_scale must be finite and >= 0, got {spike_scale}")
     rng = np.random.default_rng(seed)
     n = len(clean)
     noisy = clean + rng.standard_normal(n) * sigmas[:, np.newaxis]

@@ -27,6 +27,11 @@ from .testbed import PlatformConfig, plan_flows, plan_volumes
 
 SCENARIO_DIR_ENV = "MOCOBO_SCENARIO_DIR"
 
+# Largest scenario grid, in samples.  The engines hold several float arrays
+# of the grid's length, so 10**8 samples already take gigabytes; a larger
+# grid is refused as a usage error before anything is allocated.
+MAX_GRID_SAMPLES = 10**8
+
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """Safe loader that also reads YAML 1.2 floats such as 1e-3.
@@ -106,6 +111,14 @@ class Scenario:
             raise UsageError(f"scenario field grid.dt: must be positive, got {self.dt}")
         if not (math.isfinite(self.horizon) and self.horizon > self.dt):
             raise UsageError(f"scenario field grid.horizon: must exceed dt, got {self.horizon}")
+        # grid_size() rounds this ratio and adds one
+        if not self.horizon / self.dt <= MAX_GRID_SAMPLES - 1:
+            raise UsageError(
+                f"scenario field grid: horizon {self.horizon} / dt {self.dt} gives more than "
+                f"{MAX_GRID_SAMPLES} samples"
+            )
+        if self.seed < 0:
+            raise UsageError(f"scenario field seed: must be >= 0, got {self.seed}")
         if self.doses is None and self.modulation is None:
             raise UsageError("scenario needs either a doses section or a modulation section")
         if self.modulation is not None and self.payload is None:

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DoseSchedule, Normalization, PkParams, Route, impulse_response
-from .errors import (
-    ConfigurationError,
-    DataError,
-    DomainError,
-    IllConditionedError,
-)
+from .errors import ConfigurationError, DomainError, IllConditionedError
 
 # Output size at or above which convolve switches from direct summation to
 # FFT evaluation.  Both paths agree to 1e-9 relative; the split is purely
@@ -30,13 +25,9 @@ FFT_CONVOLUTION_THRESHOLD = 2**14
 # Relative tolerance used when two signals must share a sample step.
 DT_MATCH_RTOL = 1e-12
 
-# Recursive deconvolution needs a leading kernel tap well away from zero.
-LEADING_TAP_RTOL = 1e-12
-
-# Block length of first_order_scan and of the time-domain deconvolution.
-# Longer blocks cost more per sample in the triangular product, shorter ones
-# more steps of the Python loop over blocks; 64 was the fastest of 16, 32,
-# 64 and 128 for the scan on a 72 001-sample grid.
+# Block length of first_order_scan.  Longer blocks cost more per sample in
+# the triangular product, shorter ones more steps of the Python loop over
+# blocks; 64 was the fastest of 16, 32, 64 and 128 on a 72 001-sample grid.
 SCAN_BLOCK = 64
 
 # Lag i - j of each entry of a lower-triangular Toeplitz block matrix, with
@@ -94,54 +85,6 @@ class SampledSignal:
         """Time-domain energy: sum of squared samples scaled by dt."""
         return float(np.sum(self.samples**2) * self.dt)
 
-    def to_csv(self, path):
-        """Write rows t,value,role; one row per sample, LF line endings."""
-        with open(path, "w", newline="") as fh:
-            fh.write("t,value,role\n")
-            role = self.role.value
-            for t, v in zip(self.times, self.samples):
-                fh.write(f"{float(t)!r},{float(v)!r},{role}\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "SampledSignal":
-        """Read a signal written by to_csv; validates a uniform time grid."""
-        times: list[float] = []
-        values: list[float] = []
-        role: SignalRole | None = None
-        with open(path, newline="") as fh:
-            header = fh.readline().strip()
-            if header.split(",")[:2] != ["t", "value"]:
-                raise DataError(f"{path}: line 1: expected header t,value,role")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise DataError(f"{path}: line {lineno}: expected 3 columns")
-                try:
-                    times.append(float(parts[0]))
-                    values.append(float(parts[1]))
-                except ValueError as exc:
-                    raise DataError(f"{path}: line {lineno}: {exc}") from exc
-                try:
-                    row_role = SignalRole(parts[2])
-                except ValueError as exc:
-                    raise DataError(f"{path}: line {lineno}: unknown role {parts[2]!r}") from exc
-                if role is None:
-                    role = row_role
-                elif role is not row_role:
-                    raise DataError(f"{path}: line {lineno}: mixed roles in one signal")
-        if role is None or len(times) < 1:
-            raise DataError(f"{path}: no samples")
-        if len(times) == 1:
-            return cls(t0=times[0], dt=1.0, samples=np.array(values), role=role)
-        steps = np.diff(times)
-        dt = float(steps[0])
-        if dt <= 0 or np.any(np.abs(steps - dt) > 1e-9 * max(abs(dt), 1.0)):
-            raise DataError(f"{path}: time grid is not uniform")
-        return cls(t0=times[0], dt=dt, samples=np.array(values), role=role)
-
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
@@ -154,38 +97,6 @@ class Spectrum:
         """Frequency-domain energy: (1/2pi) * sum |X|^2 * domega."""
         domega = float(abs(self.omega[1] - self.omega[0])) if self.omega.size > 1 else 1.0
         return float(np.sum(np.abs(self.values) ** 2) * domega / (2.0 * np.pi))
-
-
-@dataclass(frozen=True)
-class RationalResponse:
-    """Rational transfer function in jw: sum b_k (jw)^k / sum a_k (jw)^k."""
-
-    b: tuple[float, ...]
-    a: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.a) == 0 or self.a[-1] == 0.0:
-            raise DomainError("denominator leading coefficient must be nonzero")
-        if len(self.b) == 0:
-            raise DomainError("numerator must have at least one coefficient")
-
-    def evaluate(self, omega):
-        """Evaluate the response at angular frequencies omega (rad/s)."""
-        jw = 1j * np.asarray(omega, dtype=float)
-        num = np.polyval(list(reversed(self.b)), jw)
-        den = np.polyval(list(reversed(self.a)), jw)
-        return num / den
-
-    @classmethod
-    def from_channel(cls, params: PkParams, route: Route) -> "RationalResponse":
-        """Transfer function of the channel from mass rate to concentration."""
-        if route is Route.INTRAVENOUS:
-            return cls(b=(1.0 / params.V,), a=(params.k_e, 1.0))
-        k_a = params.require_k_a()
-        return cls(
-            b=(params.F * k_a / params.V,),
-            a=(k_a * params.k_e, k_a + params.k_e, 1.0),
-        )
 
 
 def sample(f, t0: float, dt: float, n: int, role: SignalRole = SignalRole.CONCENTRATION) -> SampledSignal:
@@ -333,70 +244,21 @@ def deconvolve(
 ) -> SampledSignal:
     """Recover the input signal x from y = convolve(x, h).
 
-    method "frequency" solves the Tikhonov-regularized least-squares
-    problem in the Fourier domain; lam defaults to 1e-3 * max |H|^2 where
-    H is the dt-scaled transform of h, and lam = 0 gives exact recovery of
-    full noiseless convolutions.  method "time" performs direct polynomial
-    division, which requires the leading kernel tap to be well away from
-    zero (extravascular responses start at zero, so they must use the
-    frequency method).
+    Solves the Tikhonov-regularized least-squares problem in the Fourier
+    domain (TikhonovSolve); lam defaults to 1e-3 * max |H|^2 where H is the
+    dt-scaled transform of h, and lam = 0 gives exact recovery of full
+    noiseless convolutions.  method must be "frequency", the only one;
+    any other value raises DomainError.
     """
+    if method != "frequency":
+        raise DomainError(f"unknown deconvolution method {method!r}")
     _check_dt_match(y, h)
     default_len = len(y) - len(h) + 1
     n_out = default_len if output_length is None else int(output_length)
     if n_out < 1:
         raise ConfigurationError("deconvolution output would be empty (kernel longer than signal)")
-    peak = _kernel_peak(h.samples)
-
-    if method == "time":
-        lead = float(abs(h.samples[0]))
-        if lead < LEADING_TAP_RTOL * peak:
-            raise IllConditionedError(
-                f"leading kernel tap {h.samples[0]!r} is too small for recursive deconvolution"
-            )
-        x_hat = _forward_substitution(h.samples, y.samples, n_out) / y.dt
-    elif method == "frequency":
-        x_hat = TikhonovSolve(h.samples, y.dt, len(y), n_out, lam).apply(y.samples)
-    else:
-        raise DomainError(f"unknown deconvolution method {method!r}")
-
+    x_hat = TikhonovSolve(h.samples, y.dt, len(y), n_out, lam).apply(y.samples)
     return SampledSignal(t0=y.t0 - h.t0, dt=y.dt, samples=x_hat, role=SignalRole.MASS_RATE)
-
-
-def _forward_substitution(taps: np.ndarray, rhs: np.ndarray, n_out: int) -> np.ndarray:
-    """First n_out samples of q with sum_j taps[j] * q[i - j] = rhs[i].
-
-    rhs is taken as zero beyond its end; taps[0] must be nonzero.  The
-    samples are solved SCAN_BLOCK at a time: a product with the banded
-    Toeplitz matrix of taps[1:] takes the samples solved before a block out
-    of its right-hand side, and a product with the inverse of the block's
-    own lower-triangular Toeplitz matrix solves it.  Taps past n_out reach
-    no returned sample and are left out.
-    """
-    taps = taps[:n_out]
-    m = len(taps)
-    n_blocks = -(-n_out // SCAN_BLOCK)
-    b = np.zeros(n_blocks * SCAN_BLOCK)
-    b[: min(n_out, len(rhs))] = rhs[:n_out]
-    own = np.zeros(SCAN_BLOCK + 1)
-    own[: min(m, SCAN_BLOCK)] = taps[:SCAN_BLOCK]
-    solve = np.linalg.inv(own[_SCAN_LAG])
-    # row r holds taps[r + m - 1 - c] in column c >= r: the weights of the
-    # m - 1 samples before a block on its sample r
-    reach = np.concatenate([np.zeros(SCAN_BLOCK - 1), taps[:0:-1]])
-    past = np.lib.stride_tricks.sliding_window_view(reach, m - 1)[::-1].copy()
-    q = np.zeros(m - 1 + n_blocks * SCAN_BLOCK)
-    for start in range(0, n_blocks * SCAN_BLOCK, SCAN_BLOCK):
-        block = b[start : start + SCAN_BLOCK] - past @ q[start : start + m - 1]
-        q[start + m - 1 : start + m - 1 + SCAN_BLOCK] = solve @ block
-    return q[m - 1 : m - 1 + n_out]
-
-
-def _kernel_peak(taps: np.ndarray) -> float:
-    peak = float(np.max(np.abs(taps)))
-    if peak == 0.0:
-        raise IllConditionedError("kernel is identically zero")
-    return peak
 
 
 class TikhonovSolve:
@@ -413,7 +275,8 @@ class TikhonovSolve:
     """
 
     def __init__(self, taps: np.ndarray, dt: float, n_in: int, n_out: int, lam: float | None = None):
-        _kernel_peak(taps)
+        if not np.any(taps):
+            raise IllConditionedError("kernel is identically zero")
         m = len(taps)
         n_probe = next_fast_len(n_in + m - 1)
         self.n_fft = n_probe if n_out <= n_in else next_fast_len(n_out + m - 1)

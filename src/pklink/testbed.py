@@ -78,13 +78,6 @@ class PlatformTrace:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.c_a.size)
 
-    def to_csv(self, path):
-        """Write rows t,c_a,c_b,excreta,input with LF line endings."""
-        with open(path, "w", newline="") as fh:
-            fh.write("t,c_a,c_b,excreta,input\n")
-            for t, ca, cb, ex, inp in zip(self.times, self.c_a, self.c_b, self.excreta_mass, self.input_mass):
-                fh.write(f"{float(t)!r},{float(ca)!r},{float(cb)!r},{float(ex)!r},{float(inp)!r}\n")
-
 
 def plan_flows(k_a: float, k_e: float, V_a: float, V_b: float) -> tuple[float, float]:
     """Pump flows that realize the given rate constants in fixed vessels."""

@@ -140,12 +140,28 @@ def test_impulse_response_normalizations(bench_pk):
     assert impulse_response(bench_pk, Route.INTRAVENOUS, 0.0, Normalization.AMOUNT) == 1.0
 
 
-def test_dc_response_equals_impulse_area(bench_pk):
-    dc = frequency_response(bench_pk, Route.INTRAVENOUS, 0.0)
-    assert dc == pytest.approx(1.0 / (bench_pk.V * bench_pk.k_e), rel=1e-14)
-    p = PkParams(k_e=bench_pk.k_e, V=bench_pk.V, k_a=bench_pk.k_a, F=0.85)
-    dc_ev = frequency_response(p, Route.EXTRAVASCULAR, 0.0)
-    assert dc_ev == pytest.approx(0.85 / (p.V * p.k_e), rel=1e-14)
+@settings(max_examples=60, deadline=None)
+@given(
+    k_e=st.floats(min_value=1e-5, max_value=1e-1),
+    ratio=st.one_of(
+        st.floats(min_value=1e-2, max_value=1e2),  # k_a < k_e is the flip-flop case
+        st.sampled_from([1.0 - 1e-10, 1.0, 1.0 + 1e-10]),  # the confluent limit
+    ),
+    F=st.floats(min_value=0.05, max_value=1.0),
+)
+def test_dc_response_equals_impulse_area(k_e, ratio, F):
+    p = PkParams(k_e=k_e, V=649.0, k_a=k_e * ratio, F=F)
+    for route, gain in ((Route.INTRAVENOUS, 1.0), (Route.EXTRAVASCULAR, F)):
+        # the intravenous route bypasses absorption, so F does not scale it
+        dc = frequency_response(p, route, 0.0)
+        assert dc.imag == 0.0
+        assert dc.real == pytest.approx(gain / (p.V * k_e), rel=1e-14)
+        # integrate over s = slow * t, in which the slower decay has unit rate
+        slow = min(k_e, p.k_a)
+        area, _ = scipy.integrate.quad(
+            lambda s: impulse_response(p, route, s / slow), 0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=200
+        )
+        assert area / slow == pytest.approx(dc.real, rel=1e-9)
 
 
 def test_superpose_impulses_add_shifted_responses(bench_pk):

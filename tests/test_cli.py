@@ -1,12 +1,17 @@
 """Command-line interface: subcommands, file output, exit codes."""
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pklink
 from pklink import fitting
@@ -108,12 +113,17 @@ def test_link_runs_on_every_engine(tmp_path):
         assert summary.split(",")[2] == "0"
 
 
-def test_fit_recovers_parameters_from_csv(tmp_path, capsys):
+def _bench_ev_curve_csv() -> str:
+    """28 noiseless samples of the bench extravascular curve, as a fit CSV."""
     pk = PkParams(k_e=BENCH_K_E, V=BENCH_V, k_a=BENCH_K_A)
     t = np.linspace(60.0, 4800.0, 28)
     c = ev_concentration(pk, BENCH_DOSE, t)
+    return "t,conc\n" + "".join(f"{float(ti)!r},{float(ci)!r}\n" for ti, ci in zip(t, c))
+
+
+def test_fit_recovers_parameters_from_csv(tmp_path, capsys):
     path = tmp_path / "curve.csv"
-    path.write_text("t,conc\n" + "".join(f"{float(ti)!r},{float(ci)!r}\n" for ti, ci in zip(t, c)))
+    path.write_text(_bench_ev_curve_csv())
     code = main([
         "fit", "--csv", str(path), "--route", "extravascular", "--dose", str(BENCH_DOSE),
         "--method", "least-squares", "--volume", str(BENCH_V),
@@ -172,6 +182,24 @@ def test_usage_errors_exit_with_2(tmp_path, capsys):
         assert main(["link", "--scenario", "link-ev"] + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert "Traceback" not in err
+    # grids past MAX_GRID_SAMPLES are refused before anything is allocated
+    fine_grid = tmp_path / "fine-grid.yaml"
+    fine_grid.write_text(resolve_scenario("bench-iv").to_text().replace("dt: 1.0\n", "dt: 1.0e-9\n"))
+    noisy = tmp_path / "noisy.yaml"
+    noisy.write_text(resolve_scenario("link-ev").to_text().replace("sigma: 0.0\n", "sigma: 0.01\n"))
+    negative_seed = tmp_path / "negative-seed.yaml"
+    negative_seed.write_text(noisy.read_text().replace("seed: 6\n", "seed: -3\n"))
+    for argv, field in (
+        (["simulate", "--scenario", "bench-iv", "--horizon", "1e308"], "grid"),
+        (["link", "--scenario", "link-ev", "--dt", "1e-300"], "grid"),
+        (["simulate", "--scenario", str(fine_grid), "--horizon", "8000"], "grid"),
+        (["link", "--scenario", str(noisy), "--seed", "-2"], "seed"),
+        (["link", "--scenario", str(negative_seed)], "seed"),
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario field {field}")
         assert "Traceback" not in err
     out = tmp_path / "missing-dir" / "x.csv"  # an output path that cannot be opened
     for argv in (["simulate", "--scenario", "bench-iv"], ["link", "--scenario", "link-iv"]):
@@ -299,3 +327,86 @@ def test_simulate_then_fit_recovers_the_bench_rates(tmp_path, capsys, monkeypatc
     report = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
     assert float(report["k_a"]) == pytest.approx(BENCH_K_A, rel=1e-4)
     assert float(report["k_e"]) == pytest.approx(BENCH_K_E, rel=1e-4)
+
+
+# Values the fuzz test gives --dt, --horizon, --seed and --lam.  With the
+# scenarios below no accepted grid exceeds 8001 samples: each value either
+# leaves the grid coarser than the scenario's own or is refused.
+FUZZ_FLAG_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e-300", "1e308", "2.5", "600")
+# Built-ins with grids of at most 8001 samples, and link-ev with noise on,
+# where --seed reaches the random generator.
+FUZZ_SCENARIOS = ("bench-iv", "bench-ev", "link-iv", "link-ev", "link-ev-noisy")
+# Replacements for one scalar of a built-in scenario text; none of them
+# makes the grid finer and accepted.
+FUZZ_SCALARS = (".nan", "[]", "~", "-1", "1e-9", "0", "1e308", "x")
+# Bytes the fuzz test writes into a fit CSV.
+FUZZ_BYTES = b",\n#-.e09nx \xff"
+
+
+def _fuzz_scalar_spans(text: str) -> list[tuple[int, int]]:
+    """Start and end of every scalar value in a scenario text."""
+    return [m.span(1) for m in re.finditer(r"^\s*(?:- )?(?:\w+: )?([^\s:][^\n]*)$", text, re.M)
+            if not m.group(0).rstrip().endswith(":")]
+
+
+@st.composite
+def _fuzz_cases(draw):
+    """(argv, scenario text or None, fit CSV bytes or None) of one CLI call."""
+    kind = draw(st.sampled_from(("flags", "scenario", "fit")))
+    if kind == "flags":
+        command = draw(st.sampled_from(("impulse", "simulate", "link")))
+        argv = [command, "--scenario", draw(st.sampled_from(FUZZ_SCENARIOS))]
+        names = ("--dt", "--horizon", "--seed") + (("--lam",) if command == "link" else ())
+        for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True)):
+            argv += [name, draw(st.sampled_from(FUZZ_FLAG_VALUES))]
+        return argv, None, None
+    if kind == "scenario":
+        name = draw(st.sampled_from(FUZZ_SCENARIOS[:4]))
+        text = resolve_scenario(name).to_text()
+        start, end = draw(st.sampled_from(_fuzz_scalar_spans(text)))
+        text = text[:start] + draw(st.sampled_from(FUZZ_SCALARS)) + text[end:]
+        command = ["link"] if name.startswith("link") else draw(st.sampled_from((["simulate"], ["impulse"])))
+        return command + ["--scenario", "fuzz"], text, None
+    data = bytearray(_bench_ev_curve_csv().encode())
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data) - 1))
+        byte = draw(st.sampled_from(FUZZ_BYTES))
+        op = draw(st.sampled_from(("replace", "insert", "delete")))
+        if op == "replace":
+            data[at] = byte
+        elif op == "insert":
+            data.insert(at, byte)
+        else:
+            del data[at]
+    route = draw(st.sampled_from([r.value for r in Route]))
+    method = draw(st.sampled_from(("residuals", "least-squares")))
+    return ["fit", "--route", route, "--dose", str(BENCH_DOSE), "--method", method], None, bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz")
+    noisy = resolve_scenario("link-ev").to_text().replace("sigma: 0.0\n", "sigma: 0.01\n")
+    (directory / "link-ev-noisy.yaml").write_text(noisy)
+    return directory
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_fuzz_cases())
+@example(case=(["simulate", "--scenario", "bench-iv", "--horizon", "1e308"], None, None))
+@example(case=(["link", "--scenario", "link-ev", "--dt", "1e-300"], None, None))
+@example(case=(["link", "--scenario", "link-ev-noisy", "--seed", "-1"], None, None))
+def test_cli_fuzz_exits_cleanly(fuzz_dir, case):
+    argv, scenario_text, fit_csv = case
+    if scenario_text is not None:
+        (fuzz_dir / "fuzz.yaml").write_text(scenario_text)
+    if fit_csv is not None:
+        (fuzz_dir / "fuzz.csv").write_bytes(fit_csv)
+        argv = argv + ["--csv", str(fuzz_dir / "fuzz.csv")]
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("MOCOBO_SCENARIO_DIR", str(fuzz_dir))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -13,7 +13,6 @@ from pklink.channel import PkParams, Route, ev_concentration, iv_concentration
 from pklink.errors import ConvergenceError, DataError, DomainError
 from pklink.fitting import (
     ConcentrationSeries,
-    calibration_scale,
     fit_least_squares,
     fit_residuals,
     jacobian,
@@ -324,17 +323,3 @@ def test_stripping_needs_enough_post_peak_points():
     data = ConcentrationSeries(t, np.array([1.0, 3.0, 2.5, 2.0]), Route.EXTRAVASCULAR, 10.0)
     with pytest.raises(DataError):
         fit_residuals(data)
-
-
-def test_calibration_scale():
-    rng = np.random.default_rng(2)
-    model = rng.standard_normal(50)
-    assert calibration_scale(model, 3.0 * model) == pytest.approx(3.0, rel=1e-14)
-    noisy = 2.0 * model + 0.01 * rng.standard_normal(50)
-    s = calibration_scale(model, noisy)
-    # least squares optimality: the residual is orthogonal to the model
-    assert abs(model @ (noisy - s * model)) < 1e-10
-    with pytest.raises(DomainError):
-        calibration_scale(np.zeros(5), np.ones(5))
-    with pytest.raises(DomainError):
-        calibration_scale(np.ones(4), np.ones(5))

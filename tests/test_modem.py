@@ -1,5 +1,7 @@
 """On-off keying over the concentration channel: framing through detection."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,11 @@ def test_noise_validation():
         add_noise(x, sigma=-1.0)
     with pytest.raises(DomainError):
         add_noise(x, sigma=0.1, spike_prob=1.5)
+    # a NaN passes a plain "< 0" test; the error must still name the argument
+    with pytest.raises(DomainError, match="sigma"):
+        add_noise(x, sigma=math.nan)
+    with pytest.raises(DomainError, match="spike_scale"):
+        add_noise(x, sigma=0.1, spike_prob=0.5, spike_scale=math.nan)
 
 
 def test_noise_draws_spikes_only_when_a_sample_can_spike():

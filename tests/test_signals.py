@@ -1,4 +1,4 @@
-"""Sampled signals: serialization, convolution, deconvolution, integration."""
+"""Sampled signals: convolution, deconvolution, integration, spectra."""
 
 import math
 
@@ -19,14 +19,12 @@ from pklink.channel import (
 )
 from pklink.errors import (
     ConfigurationError,
-    DataError,
     DomainError,
     IllConditionedError,
 )
 from pklink.signals import (
     FFT_CONVOLUTION_THRESHOLD,
     SCAN_BLOCK,
-    RationalResponse,
     SampledSignal,
     SignalRole,
     Spectrum,
@@ -48,34 +46,6 @@ from conftest import BENCH_DOSE, rel_max
 
 def _plain_iv_kernel(pk, dt, n):
     return sample(lambda t: impulse_response(pk, Route.INTRAVENOUS, t), 0.0, dt, n)
-
-
-def test_csv_round_trip_is_exact(tmp_path, bench_pk):
-    rng = np.random.default_rng(11)
-    x = SampledSignal(t0=3.5, dt=0.25, samples=rng.random(40) * 1e3, role=SignalRole.MASS_RATE)
-    path = tmp_path / "sig.csv"
-    x.to_csv(path)
-    y = SampledSignal.from_csv(path)
-    assert y.t0 == x.t0
-    assert y.dt == x.dt
-    assert y.role is x.role
-    assert np.array_equal(y.samples, x.samples)
-
-
-def test_from_csv_reports_line_numbers(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("t,value,role\n0.0,1.0,concentration\n1.0,oops,concentration\n")
-    with pytest.raises(DataError, match="line 3"):
-        SampledSignal.from_csv(path)
-    path.write_text("time,value\n")
-    with pytest.raises(DataError, match="line 1"):
-        SampledSignal.from_csv(path)
-    path.write_text("t,value,role\n0.0,1.0,concentration\n1.0,1.0,mass\n")
-    with pytest.raises(DataError, match="mixed roles"):
-        SampledSignal.from_csv(path)
-    path.write_text("t,value,role\n0.0,1.0,mass\n1.0,1.0,mass\n3.0,1.0,mass\n")
-    with pytest.raises(DataError, match="not uniform"):
-        SampledSignal.from_csv(path)
 
 
 def test_signal_validation():
@@ -231,46 +201,6 @@ def test_frequency_deconvolution_round_trip(bench_pk):
     assert back.t0 == 0.0
     assert len(back) == len(x)
     assert rel_max(back.samples, x.samples) < 1e-9
-
-
-def test_time_deconvolution_round_trip(bench_pk):
-    rng = np.random.default_rng(42)
-    dt = 2.0
-    x = SampledSignal(0.0, dt, rng.random(400) * 2.0, SignalRole.MASS_RATE)
-    h = _plain_iv_kernel(bench_pk, dt, 1500)
-    back = deconvolve(convolve(x, h), h, method="time")
-    assert rel_max(back.samples, x.samples) < 1e-9
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    n_h=st.sampled_from([1, 2, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 700]),
-    n_y=st.integers(min_value=1, max_value=2000),
-    n_out=st.sampled_from([1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 1500]),
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_time_deconvolution_matches_lfilter(n_h, n_y, n_out, seed):
-    # the recursion 1 / h(z) run over the record zero-padded to n_out samples
-    rng = np.random.default_rng(seed)
-    taps = rng.random(n_h)
-    taps[0] += n_h
-    y = SampledSignal(0.0, 0.5, rng.standard_normal(n_y), SignalRole.CONCENTRATION)
-    h = SampledSignal(0.0, 0.5, taps, SignalRole.CONCENTRATION)
-    padded = np.zeros(max(n_out, n_y))
-    padded[:n_y] = y.samples
-    expect = scipy.signal.lfilter([1.0], taps, padded)[:n_out] / y.dt
-    got = deconvolve(y, h, method="time", output_length=n_out).samples
-    assert rel_max(got, expect) < 1e-12
-
-
-def test_time_deconvolution_rejects_zero_leading_tap(bench_pk):
-    # responses that start at zero admit no stable recursive inverse
-    dt = 2.0
-    h_ev = sample(lambda t: impulse_response(bench_pk, Route.EXTRAVASCULAR, t), 0.0, dt, 200)
-    x = SampledSignal(0.0, dt, np.ones(50), SignalRole.MASS_RATE)
-    y = convolve(x, h_ev)
-    with pytest.raises(IllConditionedError):
-        deconvolve(y, h_ev, method="time")
 
 
 def test_deconvolve_argument_validation(bench_pk):
@@ -480,14 +410,3 @@ def test_spectrum_energy_parseval():
     rng = np.random.default_rng(23)
     x = SampledSignal(0.0, 0.25, rng.standard_normal(256), SignalRole.MASS_RATE)
     assert spectrum(x).energy() == pytest.approx(x.energy(), rel=1e-12)
-
-
-def test_rational_response_matches_direct_evaluation(bench_pk):
-    from pklink.channel import frequency_response
-
-    omega = np.linspace(0.0, 0.05, 11)
-    for route in (Route.INTRAVENOUS, Route.EXTRAVASCULAR):
-        rr = RationalResponse.from_channel(bench_pk, route)
-        assert np.allclose(rr.evaluate(omega), frequency_response(bench_pk, route, omega), rtol=1e-12)
-    with pytest.raises(DomainError):
-        RationalResponse(b=(1.0,), a=(1.0, 0.0))

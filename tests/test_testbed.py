@@ -139,17 +139,6 @@ def test_empty_schedule_audits_cleanly():
     assert np.all(trace.c_b == 0.0)
 
 
-def test_trace_csv_layout(tmp_path):
-    schedule = DoseSchedule(events=(DoseEvent(time=0.0, mass=10.0, duration=10.0),))
-    trace = simulate_platform(_bench_config(Route.INTRAVENOUS), schedule, 1.0, 50.0)
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,c_a,c_b,excreta,input"
-    assert len(lines) == len(trace) + 1
-    assert len(lines[1].split(",")) == 5
-
-
 def _rk4_reference(M, b, dt, u, jumps):
     """Generic classical RK4 step loop for x' = M x + b u, jumps added along b."""
     M = np.asarray(M)
