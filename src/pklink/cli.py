@@ -329,46 +329,49 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", help="built-in scenario name or scenario file path")
-    common.add_argument("--dt", type=float, help="override the scenario sample step (s)")
-    common.add_argument("--horizon", type=float, help="override the scenario horizon (s)")
-    common.add_argument("--seed", type=int, help="override the scenario random seed")
-    common.add_argument("--out", help="output file path (default: stdout)")
+# Flags that several commands take, in the order --help lists them.
+_COMMON_FLAGS = {
+    "--scenario": {"help": "built-in scenario name or scenario file path"},
+    "--dt": {"type": float, "help": "override the scenario sample step (s)"},
+    "--horizon": {"type": float, "help": "override the scenario horizon (s)"},
+    "--seed": {"type": int, "help": "override the scenario random seed"},
+    "--out": {"help": "output file path (default: stdout)"},
+}
 
-    parser = argparse.ArgumentParser(
-        prog="pklink",
-        description="Simulate and decode drug-concentration signalling through a one-compartment channel.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("scenarios", parents=[common], help="list built-in scenarios")
-    p.set_defaults(func=_cmd_scenarios)
+def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(name, **_COMMON_FLAGS[name])
 
-    p = sub.add_parser("impulse", parents=[common], help="sampled impulse responses for a scenario")
-    p.set_defaults(func=_cmd_impulse)
 
-    p = sub.add_parser("simulate", parents=[common], help="run all engines on a scenario")
-    p.set_defaults(func=_cmd_simulate)
+def _out_flag(p: argparse.ArgumentParser) -> None:
+    _add_common(p, "--out")
 
-    p = sub.add_parser("link", parents=[common], help="transmit and detect a bit frame")
+
+def _scenario_flags(p: argparse.ArgumentParser) -> None:
+    _add_common(p, *_COMMON_FLAGS)
+
+
+def _link_flags(p: argparse.ArgumentParser) -> None:
+    _scenario_flags(p)
     p.add_argument("--engine", choices=ENGINES, default="analytic", help="simulation engine")
     p.add_argument(
         "--lam", type=float, default=None, help="deconvolution regularization weight (default: auto)"
     )
-    p.set_defaults(func=_cmd_link)
 
-    p = sub.add_parser("fit", parents=[common], help="estimate parameters from a concentration CSV")
+
+def _fit_flags(p: argparse.ArgumentParser) -> None:
+    _out_flag(p)
     p.add_argument("--csv", required=True, help="input CSV with a t column")
     p.add_argument("--route", choices=[r.value for r in Route], required=True)
     p.add_argument("--dose", type=float, required=True, help="administered dose (mg)")
     p.add_argument("--method", choices=["residuals", "least-squares"], default="least-squares")
     p.add_argument("--column", default=None, help="concentration column name or index (default: 1)")
     p.add_argument("--volume", type=float, default=None, help="known distribution volume (mL)")
-    p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("plan", parents=[common], help="plan pump flows or vessel volumes")
+
+def _plan_flags(p: argparse.ArgumentParser) -> None:
+    _add_common(p, "--scenario", "--out")
     p.add_argument("--k-a", type=float, dest="k_a", help="absorption rate constant (1/s)")
     p.add_argument("--k-e", type=float, dest="k_e", help="elimination rate constant (1/s)")
     p.add_argument("--mode", choices=["flows", "volumes"], required=True)
@@ -377,13 +380,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flow", type=float, help="shared pump flow (mL/s)")
     p.add_argument("--check-v-a", type=float, dest="check_v_a", help="nominal V_a to check")
     p.add_argument("--check-v-b", type=float, dest="check_v_b", help="nominal V_b to check")
-    p.set_defaults(func=_cmd_plan)
 
+
+# Each command's help text, handler, and a function that adds the flags
+# the handler reads (and no others).
+COMMANDS = {
+    "scenarios": ("list built-in scenarios", _cmd_scenarios, _out_flag),
+    "impulse": ("sampled impulse responses for a scenario", _cmd_impulse, _scenario_flags),
+    "simulate": ("run all engines on a scenario", _cmd_simulate, _scenario_flags),
+    "link": ("transmit and detect a bit frame", _cmd_link, _link_flags),
+    "fit": ("estimate parameters from a concentration CSV", _cmd_fit, _fit_flags),
+    "plan": ("plan pump flows or vessel volumes", _cmd_plan, _plan_flags),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the one named.
+
+    A parser built for one command parses that command's command lines as
+    the whole tree does, with the same usage lines, and refuses the other
+    commands as invalid choices.
+    """
+    parser = argparse.ArgumentParser(
+        prog="pklink",
+        description="Simulate and decode drug-concentration signalling through a one-compartment channel.",
+    )
+    if command is None:
+        names = list(COMMANDS)
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        names = [command]
+        # name every command in usage lines, as the whole tree does
+        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}")
+    for name in names:
+        help_text, run, add_flags = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_flags(p)
+        p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a run pays for the parser of its own command only; anything else
+    # (no arguments, --help, an unknown word) gets the whole tree's messages
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

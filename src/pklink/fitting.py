@@ -261,7 +261,7 @@ def fit_residuals(data: ConcentrationSeries, volume: float | None = None) -> Fit
     if data.route is Route.INTRAVENOUS:
         k_e, amplitude = _log_regression(t, c, "elimination phase")
         if k_e <= 0:
-            raise ConvergenceError(f"estimated elimination rate is not positive: {-k_e}")
+            raise ConvergenceError(f"estimated elimination rate is not positive: {k_e}")
         rss = float(np.sum((c - predict(Route.INTRAVENOUS, t, k_e, amplitude)) ** 2))
         return _build_result(data, k_e, amplitude, rss, 1, "residuals", None, volume)
 
@@ -272,7 +272,7 @@ def fit_residuals(data: ConcentrationSeries, volume: float | None = None) -> Fit
     tail = post[-max(3, post.size // 2) :]
     k_slow, amp_slow = _log_regression(t[tail], c[tail], "terminal phase")
     if k_slow <= 0:
-        raise ConvergenceError(f"estimated terminal rate is not positive: {-k_slow}")
+        raise ConvergenceError(f"estimated terminal rate is not positive: {k_slow}")
 
     early = np.arange(0, peak + 1)
     residual = amp_slow * np.exp(-k_slow * t[early]) - c[early]

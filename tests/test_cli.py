@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, file output, exit codes."""
 
+import argparse
 import contextlib
 import io
 import os
@@ -14,16 +15,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pklink
-from pklink import fitting
+from pklink import cli, fitting
 from pklink.channel import (
     Normalization,
     PkParams,
     Route,
     ev_concentration,
     impulse_response,
+    iv_concentration,
     peak_time,
 )
-from pklink.cli import CSV_BLOCK_ROWS, main, run_simulate
+from pklink.cli import COMMANDS, CSV_BLOCK_ROWS, build_parser, main, run_simulate
 from pklink.scenarios import resolve_scenario
 
 from conftest import BENCH_DOSE, BENCH_K_A, BENCH_K_E, BENCH_V
@@ -178,6 +180,18 @@ def test_usage_errors_exit_with_2(tmp_path, capsys):
     assert main(["impulse", "--scenario", "bench-iv", "--engine", "ode"]) == 2  # link-only flag
     assert main(["scenarios", "--list"]) == 2  # listing takes no flag
     capsys.readouterr()
+    curve = tmp_path / "curve.csv"
+    curve.write_text(_bench_ev_curve_csv())
+    for argv in (  # flags the command never reads
+        ["scenarios", "--scenario", "nope", "--dt", "-1"],
+        ["plan", "--mode", "flows", "--k-a", "2.89e-4", "--k-e", "4.47e-5", "--v-a", "355", "--v-b", "2292",
+         "--horizon", "nan"],
+        ["fit", "--csv", str(curve), "--route", "extravascular", "--dose", str(BENCH_DOSE), "--dt", "5"],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: unrecognized arguments: " in err
+        assert "Traceback" not in err
     for flags in (["--lam", "-1"], ["--lam", "nan"], ["--dt", "7"]):  # 7 s does not divide 600 s
         assert main(["link", "--scenario", "link-ev"] + flags) == 2
         err = capsys.readouterr().err
@@ -253,10 +267,22 @@ def test_data_errors_exit_with_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_numeric_errors_exit_with_4(capsys):
+def test_numeric_errors_exit_with_4(tmp_path, capsys):
     # a step too coarse for the rates fails the integrator stability guard
     assert main(["simulate", "--scenario", "bench-iv", "--dt", "200"]) == 4
     capsys.readouterr()
+    # one huge last value turns the log-linear elimination slope upward;
+    # the error reports the estimated rate itself, which is negative
+    t = np.linspace(60.0, 4800.0, 28)
+    c = iv_concentration(PkParams(k_e=BENCH_K_E, V=BENCH_V), BENCH_DOSE, t)
+    c[-1] = 1e200
+    path = tmp_path / "rising.csv"
+    path.write_text("t,conc\n" + "".join(f"{float(ti)!r},{float(ci)!r}\n" for ti, ci in zip(t, c)))
+    assert main(["fit", "--csv", str(path), "--route", "intravenous", "--dose", str(BENCH_DOSE)]) == 4
+    err = capsys.readouterr().err
+    prefix = "error: estimated elimination rate is not positive: "
+    assert err.startswith(prefix)
+    assert float(err[len(prefix):]) < 0
 
 
 def test_detection_errors_exit_with_5(capsys):
@@ -327,6 +353,74 @@ def test_simulate_then_fit_recovers_the_bench_rates(tmp_path, capsys, monkeypatc
     report = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
     assert float(report["k_a"]) == pytest.approx(BENCH_K_A, rel=1e-4)
     assert float(report["k_e"]) == pytest.approx(BENCH_K_E, rel=1e-4)
+
+
+def test_main_builds_only_the_invoked_command_parser(monkeypatch, capsys):
+    built = []
+
+    def spy(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert main(["scenarios"]) == 0
+    assert main(["plan", "--mode", "orbit"]) == 2
+    assert main(["bogus"]) == 2
+    assert main(["--help"]) == 0
+    assert main([]) == 2
+    monkeypatch.setattr(sys, "argv", ["pklink", "scenarios"])
+    assert main() == 0
+    assert built == ["scenarios", "plan", None, None, None, "scenarios"]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        build_parser("link").parse_args(["fit", "--csv", "c.csv", "--route", "intravenous", "--dose", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'fit'" in capsys.readouterr().err
+
+
+def _command_flags(name: str) -> list[str]:
+    parser = argparse.ArgumentParser()
+    COMMANDS[name][2](parser)
+    return [flag for action in parser._actions for flag in action.option_strings]
+
+
+# Words the parser-split test builds command lines from: every command,
+# every flag any command takes, and values valid for some of them.
+PARSE_WORDS = tuple(COMMANDS) + ("bogus", "--bogus", "-h", "--help", "--") + tuple(
+    sorted({flag for name in COMMANDS for flag in _command_flags(name)} - {"-h", "--help"})
+) + ("1", "-1", "x", "nan", "link-ev", "ode", "flows", "volumes", "intravenous", "residuals")
+
+
+def _parse(parser, argv):
+    """Exit code, stdout, stderr and namespace (None on exit) of one parse.
+
+    The namespace holds each value's repr, so that a parsed ``nan`` compares
+    equal to itself."""
+    out, err = io.StringIO(), io.StringIO()
+    code, namespace = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = {k: repr(v) for k, v in vars(parser.parse_args(argv)).items()}
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    argv=st.builds(
+        lambda command, words: [command] + words,
+        st.sampled_from(tuple(COMMANDS)),
+        st.lists(st.sampled_from(PARSE_WORDS), max_size=8),
+    )
+)
+@example(argv=["link", "--bogus"])
+@example(argv=["plan", "--mode", "orbit"])
+@example(argv=["fit", "link"])
+def test_one_command_parser_parses_as_the_whole_tree(argv):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        assert _parse(build_parser(argv[0]), argv) == _parse(build_parser(), argv)
 
 
 # Values the fuzz test gives --dt, --horizon, --seed and --lam.  With the
