@@ -53,9 +53,13 @@ def _write_rows(fh, header, columns) -> None:
     time, so memory does not grow with the grid.
     """
     fh.write(",".join(header) + "\n")
+    # %r of a Python float is its repr: one format operation per block
+    row_fmt = ",".join(["%r"] * len(columns)) + "\n"
+    block_fmt = row_fmt * CSV_BLOCK_ROWS
     for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
         block = np.column_stack([values[start : start + CSV_BLOCK_ROWS] for values in columns])
-        fh.write("".join([",".join(map(repr, row)) + "\n" for row in block.tolist()]))
+        fmt = block_fmt if len(block) == CSV_BLOCK_ROWS else row_fmt * len(block)
+        fh.write(fmt % tuple(block.ravel().tolist()))
 
 
 @contextlib.contextmanager

@@ -13,7 +13,9 @@ alternative.
 
 from __future__ import annotations
 
+import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,18 +62,25 @@ class ConcentrationSeries:
 
         The header's first name is t; column selects the concentration
         values by header name or by index (default: the column after t).
-        Blank lines and full-line # comments are skipped.  Malformed rows
-        and undecodable bytes fail with a DataError naming the file, and
+        The file is UTF-8, with or without a byte-order mark.  Blank lines
+        and full-line # comments are skipped.  Malformed rows and
+        undecodable bytes fail with a DataError naming the file, and
         malformed rows also name the line.
+
+        The body is read in one pass: comment lines are cut out of the
+        text and np.loadtxt converts the rest.  A body that pass declines
+        (lone CR line ends, blank lines between rows, a # inside a row, a
+        field np.loadtxt rejects) goes through the line-by-line reader, which
+        gives the same values or names the first bad line.
         """
         try:
-            fh = open(path, newline="")
+            fh = open(path, newline="", encoding="utf-8-sig")
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc}") from exc
         with fh:
             try:
                 header = fh.readline()
-                lines = fh.readlines()
+                body = fh.read()
             except UnicodeDecodeError as exc:
                 raise DataError(f"cannot decode {path}: {exc}") from exc
         names = header.strip().split(",")
@@ -85,26 +94,54 @@ class ConcentrationSeries:
             idx = int(column)
             if not (1 <= idx < len(names)):
                 raise DataError(f"{path}: line 1: column index {idx} out of range")
-        # np.loadtxt converts a field as float() does, so a body it reads whole
-        # gives the loop's arrays; any other body (a malformed row, or a
-        # spelling only float() reads, such as 1_000) goes through the loop.
-        rows = [line for line in map(str.strip, lines) if line and line[0] != "#"]
-        table = None
-        if rows:
-            try:
-                table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                pass
-        if table is not None and table.shape == (len(rows), len(names)):
+        table = _read_table(body, len(names))
+        if table is not None:
             times, values = table[:, 0], table[:, idx]
         else:
+            lines = io.StringIO(body, newline="").readlines()
             times, values = _parse_lines(path, lines, len(names), idx)
         return cls(times=times, concentrations=values, route=route, dose=dose)
 
 
+# A full-line comment with the line break before it: the first character
+# after any whitespace (as str.strip sees it) is #.
+_COMMENT_LINE = re.compile(r"\n[^\S\n]*#[^\n]*")
+# Characters str.strip takes for whitespace and np.loadtxt skips around a
+# number, but float() refuses.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
+def _read_table(body: str, width: int) -> np.ndarray | None:
+    """The rows of a CSV body as np.loadtxt reads them, or None when the
+    body holds anything on which that could differ from _parse_lines.
+
+    A table is returned only if every line left after cutting the comment
+    lines became one row of width fields, so no line was skipped or split.
+    """
+    if "\r" in body:
+        body = body.replace("\r\n", "\n")
+        if "\r" in body:
+            return None
+    hash_at = body.find("#")
+    if hash_at >= 0:
+        # lines before the one holding the first # hold no comment
+        start = body.rfind("\n", 0, hash_at) + 1
+        body = body[:start] + _COMMENT_LINE.sub("", "\n" + body[start:])[1:]
+        if "#" in body:
+            return None
+    body = body.rstrip("\n")  # the final line end and trailing empty lines
+    if not body or body.isspace() or any(ch in body for ch in _SEPARATORS):
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return table if table.shape == (body.count("\n") + 1, width) else None
+
+
 def _parse_lines(path, lines: list[str], width: int, idx: int) -> tuple[np.ndarray, np.ndarray]:
     """Line-by-line reading of a CSV body (line 2 on): the path for the
-    files np.loadtxt rejects.  It names the first malformed line, and
+    bodies _read_table declines.  It names the first malformed line, and
     parses only t and the selected column, each with Python float()."""
     times: list[float] = []
     values: list[float] = []
@@ -148,6 +185,56 @@ class FitResult:
     alternate: PkParams | None = None
 
 
+def _model(route: Route, t, k_e: float, amplitude: float, k_a: float | None):
+    """The model at one parameter point, from one set of exponentials.
+
+    Returns the prediction and a function that builds the Jacobian from
+    the same exponentials.  That function takes one factor per parameter
+    and returns the (n, p) array whose column j is the derivative with
+    respect to parameter j times factor j: ones give the raw Jacobian, the
+    parameters themselves the Jacobian in log-parameter space.  Parameter
+    order is (k_a, k_e, amplitude) for extravascular, (k_e, amplitude) for
+    intravenous.
+    """
+    arr = np.asarray(t, dtype=float)
+    if route is Route.INTRAVENOUS:
+        decay = np.exp(-k_e * arr)
+        prediction = amplitude * decay
+
+        def columns():
+            return -amplitude * arr * decay, decay
+
+    elif abs(k_a - k_e) < DEGENERATE_RATE_TOL * max(k_a, k_e):
+        decay = np.exp(-k_a * arr)
+        prediction = amplitude * k_a * arr * decay
+
+        def columns():
+            d_ka = arr * decay * (1.0 - 0.5 * k_a * arr)
+            d_ke = -0.5 * k_a * arr**2 * decay
+            return amplitude * d_ka, amplitude * d_ke, k_a * arr * decay
+
+    else:
+        e_slow = np.exp(-k_e * arr)
+        e_fast = np.exp(-k_a * arr)
+        diff = e_slow - e_fast
+        delta = k_a - k_e
+        prediction = amplitude * (k_a / delta) * diff
+
+        def columns():
+            d_ka = (-k_e / delta**2) * diff + (k_a / delta) * arr * e_fast
+            d_ke = (k_a / delta**2) * diff - (k_a / delta) * arr * e_slow
+            return amplitude * d_ka, amplitude * d_ke, (k_a / delta) * diff
+
+    def scaled_jacobian(factors):
+        cols = columns()
+        out = np.empty((arr.size, len(cols)))
+        for j, (col, factor) in enumerate(zip(cols, factors)):
+            np.multiply(col, factor, out=out[:, j])
+        return out
+
+    return prediction, scaled_jacobian
+
+
 def predict(route: Route, t, k_e: float, amplitude: float, k_a: float | None = None):
     """Model concentration for the identifiable parameterization.
 
@@ -156,14 +243,9 @@ def predict(route: Route, t, k_e: float, amplitude: float, k_a: float | None = N
     with amplitude = F*dose/V, switching to the confluent limit when the
     rates coincide.
     """
-    arr = np.asarray(t, dtype=float)
-    if route is Route.INTRAVENOUS:
-        return amplitude * np.exp(-k_e * arr)
-    if k_a is None:
+    if route is Route.EXTRAVASCULAR and k_a is None:
         raise DomainError("extravascular prediction needs k_a")
-    if abs(k_a - k_e) < DEGENERATE_RATE_TOL * max(k_a, k_e):
-        return amplitude * k_a * arr * np.exp(-k_a * arr)
-    return amplitude * (k_a / (k_a - k_e)) * (np.exp(-k_e * arr) - np.exp(-k_a * arr))
+    return _model(route, t, k_e, amplitude, k_a)[0]
 
 
 def jacobian(route: Route, t, k_e: float, amplitude: float, k_a: float | None = None) -> np.ndarray:
@@ -172,26 +254,9 @@ def jacobian(route: Route, t, k_e: float, amplitude: float, k_a: float | None = 
     Columns follow parameter order: (k_a, k_e, amplitude) for
     extravascular, (k_e, amplitude) for intravenous.
     """
-    arr = np.asarray(t, dtype=float)
-    if route is Route.INTRAVENOUS:
-        decay = np.exp(-k_e * arr)
-        return np.column_stack([-amplitude * arr * decay, decay])
-    if k_a is None:
+    if route is Route.EXTRAVASCULAR and k_a is None:
         raise DomainError("extravascular Jacobian needs k_a")
-    if abs(k_a - k_e) < DEGENERATE_RATE_TOL * max(k_a, k_e):
-        decay = np.exp(-k_a * arr)
-        shape = k_a * arr * decay
-        d_ka = arr * decay * (1.0 - 0.5 * k_a * arr)
-        d_ke = -0.5 * k_a * arr**2 * decay
-        return np.column_stack([amplitude * d_ka, amplitude * d_ke, shape])
-    e_slow = np.exp(-k_e * arr)
-    e_fast = np.exp(-k_a * arr)
-    diff = e_slow - e_fast
-    delta = k_a - k_e
-    shape = (k_a / delta) * diff
-    d_ka = (-k_e / delta**2) * diff + (k_a / delta) * arr * e_fast
-    d_ke = (k_a / delta**2) * diff - (k_a / delta) * arr * e_slow
-    return np.column_stack([amplitude * d_ka, amplitude * d_ke, shape])
+    return _model(route, t, k_e, amplitude, k_a)[1]((1.0, 1.0, 1.0))
 
 
 def _build_result(
@@ -320,22 +385,21 @@ def fit_least_squares(
             return float(p[0]), float(p[1]), float(p[2])
         return None, float(p[0]), float(p[1])
 
-    def residual_of(th):
+    def evaluate(th):
+        """Residual at th, and a function giving its log-parameter Jacobian
+        from the same exponentials."""
         k_a, k_e, amp = unpack(th)
-        return predict(data.route, t, k_e, amp, k_a) - c
+        prediction, jacobian_of = _model(data.route, t, k_e, amp, k_a)
+        # chain rule: d/d(log p) = p * d/dp
+        return prediction - c, lambda: jacobian_of((k_a, k_e, amp) if ev else (k_e, amp))
 
-    r = residual_of(theta)
+    r, jacobian_at = evaluate(theta)
     rss = float(r @ r)
     mu = 1e-3
     rejected = 0
     iterations = 0
     for iterations in range(1, max_iterations + 1):
-        k_a, k_e, amp = unpack(theta)
-        if ev:
-            j_raw = jacobian(Route.EXTRAVASCULAR, t, k_e, amp, k_a)
-        else:
-            j_raw = jacobian(Route.INTRAVENOUS, t, k_e, amp)
-        j_log = j_raw * np.exp(theta)  # chain rule: d/d(log p) = p * d/dp
+        j_log = jacobian_at()
         gradient = j_log.T @ r
         normal = j_log.T @ j_log
         accepted = False
@@ -356,16 +420,14 @@ def fit_least_squares(
                 mu *= 10.0
                 rejected += 1
                 continue
-            r_trial = residual_of(trial)
+            r_trial, jacobian_trial = evaluate(trial)
             rss_trial = float(r_trial @ r_trial)
             if not math.isfinite(rss_trial):
                 mu *= 10.0
                 rejected += 1
                 continue
             if rss_trial <= rss:
-                theta = trial
-                r = r_trial
-                rss = rss_trial
+                theta, r, jacobian_at, rss = trial, r_trial, jacobian_trial, rss_trial
                 mu = max(mu / 3.0, 1e-12)
                 rejected = 0
                 accepted = True

@@ -142,6 +142,19 @@ def test_fit_recovers_parameters_from_csv(tmp_path, capsys):
     assert float(report["alternate_k_a"]) == pytest.approx(BENCH_K_E, rel=1e-8)
 
 
+def test_fit_reads_a_csv_with_a_byte_order_mark(tmp_path, capsys):
+    # Excel's "CSV UTF-8" starts the file with a byte-order mark
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(_bench_ev_curve_csv(), encoding="utf-8")
+    marked.write_text(_bench_ev_curve_csv(), encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbft,conc\n")
+    reports = []
+    for path in (plain, marked):
+        assert main(["fit", "--csv", str(path), "--route", "extravascular", "--dose", str(BENCH_DOSE)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[1] == reports[0]
+
+
 def test_plan_flows_from_flags(capsys):
     code = main([
         "plan", "--mode", "flows", "--k-a", "2.89e-4", "--k-e", "4.47e-5",
@@ -435,6 +448,13 @@ FUZZ_SCENARIOS = ("bench-iv", "bench-ev", "link-iv", "link-ev", "link-ev-noisy")
 FUZZ_SCALARS = (".nan", "[]", "~", "-1", "1e-9", "0", "1e308", "x")
 # Bytes the fuzz test writes into a fit CSV.
 FUZZ_BYTES = b",\n#-.e09nx \xff"
+# The fit CSVs the fuzz test mutates: LF, CRLF, and LF with a simulate-style
+# comment trailer, so mutations reach the reader's comment and CR checks.
+FUZZ_FIT_FILES = (
+    _bench_ev_curve_csv(),
+    _bench_ev_curve_csv().replace("\n", "\r\n"),
+    _bench_ev_curve_csv() + "# max_rel_dev analytic_ode=1.2e-05 analytic_platform=3.4e-06\n",
+)
 
 
 def _fuzz_scalar_spans(text: str) -> list[tuple[int, int]]:
@@ -461,7 +481,7 @@ def _fuzz_cases(draw):
         text = text[:start] + draw(st.sampled_from(FUZZ_SCALARS)) + text[end:]
         command = ["link"] if name.startswith("link") else draw(st.sampled_from((["simulate"], ["impulse"])))
         return command + ["--scenario", "fuzz"], text, None
-    data = bytearray(_bench_ev_curve_csv().encode())
+    data = bytearray(draw(st.sampled_from(FUZZ_FIT_FILES)).encode())
     for _ in range(draw(st.integers(1, 4))):
         at = draw(st.integers(0, len(data) - 1))
         byte = draw(st.sampled_from(FUZZ_BYTES))
