@@ -30,6 +30,12 @@ from .errors import ConfigurationError, DomainError
 # is replaced by its analytic limit to avoid catastrophic cancellation.
 DEGENERATE_RATE_TOL = 1e-9
 
+# Most lag grids one superpose call keeps for reuse.  Grid-aligned edges
+# need one or two (dose times and infusion ends may sit at different
+# offsets from the samples); edges whose lags all differ would otherwise
+# keep one grid each.
+_LAG_GRIDS_KEPT = 4
+
 
 class Route(enum.Enum):
     """Administration route of a dose."""
@@ -251,22 +257,63 @@ def superpose(params: PkParams, route: Route, schedule: DoseSchedule, t):
     Impulsive events contribute a shifted impulse response; finite-duration
     events contribute the exact difference of two infusion step responses,
     so no quadrature error is introduced for rectangular pump profiles.
+
+    Each edge (a dose time, or the end of an infusion) only touches the
+    samples at or after it, on the lags t - edge.  Within one call, a
+    response is evaluated once per distinct lag grid: the first edge whose
+    lags start with a given value evaluates them, and a later edge whose
+    lags are bitwise equal to a prefix of those reuses the prefix of that
+    response.  The responses are elementwise in the lag, so the output is
+    the same bits as evaluating every edge afresh.  Edges on the grid
+    t = k*dt share their lags whenever the arithmetic is exact (integer dt
+    and dose times); other edges evaluate their own.  t may be a scalar or
+    an array in any order.
     """
     arr, scalar = _as_times(t)
     _check_nonnegative_times(arr)
-    arr = np.atleast_1d(arr)
-    out = np.zeros_like(arr, dtype=float)
+    flat = np.atleast_1d(arr).ravel()
+    order = None
+    if np.any(flat[1:] < flat[:-1]):
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+    out = np.zeros_like(flat)
+    # (response function, bits of the first lag) -> (lag bits, response)
+    grids: dict = {}
+
+    def lagged(evaluate, edge):
+        """(first index at or after edge, evaluate's response on the lags from there)."""
+        first = int(np.searchsorted(flat, edge))
+        lags = flat[first:] - edge
+        if lags.size == 0:
+            return first, lags
+        bits = lags.view(np.int64)
+        key = (evaluate, int(bits[0]))
+        known = grids.get(key)
+        if known is not None and known[0].size >= bits.size and np.array_equal(known[0][: bits.size], bits):
+            return first, known[1][: bits.size]
+        response = evaluate(params, route, lags)
+        if known is not None or len(grids) < _LAG_GRIDS_KEPT:
+            grids[key] = (bits, response)
+        return first, response
+
     for event in schedule:
         if event.mass == 0.0:
             continue
         if event.duration == 0.0:
-            tau = arr - event.time
-            live = tau >= 0
-            if np.any(live):
-                out[live] += event.mass * impulse_response(params, route, tau[live])
+            first, response = lagged(impulse_response, event.time)
+            out[first:] += event.mass * response
         else:
+            # before its edge the off response is +-0, and rate * (s_on - 0)
+            # adds the same bits as rate * s_on
             rate = event.rate
-            tau_on = np.clip(arr - event.time, 0.0, None)
-            tau_off = np.clip(arr - event.end, 0.0, None)
-            out += rate * (_step_response_raw(params, route, tau_on) - _step_response_raw(params, route, tau_off))
-    return float(out[0]) if scalar else out
+            on, s_on = lagged(_step_response_raw, event.time)
+            off, s_off = lagged(_step_response_raw, event.end)
+            out[on:off] += rate * s_on[: off - on]
+            out[off:] += rate * (s_on[off - on :] - s_off)
+    if scalar:
+        return float(out[0])
+    if order is not None:
+        unsorted = np.empty_like(out)
+        unsorted[order] = out
+        out = unsorted
+    return out.reshape(arr.shape)

@@ -67,10 +67,10 @@ class ConcentrationSeries:
         undecodable bytes fail with a DataError naming the file, and
         malformed rows also name the line.
 
-        The body is read in one pass: comment lines are cut out of the
-        text and np.loadtxt converts the rest.  A body that pass declines
-        (lone CR line ends, blank lines between rows, a # inside a row, a
-        field np.loadtxt rejects) goes through the line-by-line reader, which
+        The body is read in one pass: comment and whitespace-only lines
+        are cut out of the text and np.loadtxt converts the rest.  A body
+        that pass declines (lone CR line ends, a # inside a row, a field
+        np.loadtxt rejects) goes through the line-by-line reader, which
         gives the same values or names the first bad line.
         """
         try:
@@ -103,40 +103,54 @@ class ConcentrationSeries:
         return cls(times=times, concentrations=values, route=route, dose=dose)
 
 
-# A full-line comment with the line break before it: the first character
-# after any whitespace (as str.strip sees it) is #.
-_COMMENT_LINE = re.compile(r"\n[^\S\n]*#[^\n]*")
+# A line _parse_lines skips, with the line break before it: nothing but
+# whitespace (as str.strip sees it; \s and str.isspace agree on every
+# character), then optionally a # and the rest of the line.  The lookahead
+# turns a row away at its first character; it also leaves an empty last
+# line, after the text's final line break, to the caller's rstrip.
+_SKIPPED_LINE = re.compile(r"\n(?=[\s#])[^\S\n]*(?:#[^\n]*)?(?![^\n])")
+
 # Characters str.strip takes for whitespace and np.loadtxt skips around a
 # number, but float() refuses.
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+# The ASCII characters str.strip takes for whitespace, line ends apart.
+_ASCII_BLANKS = " \t\x0b\x0c" + _SEPARATORS
 
 
 def _read_table(body: str, width: int) -> np.ndarray | None:
     """The rows of a CSV body as np.loadtxt reads them, or None when the
     body holds anything on which that could differ from _parse_lines.
 
-    A table is returned only if every line left after cutting the comment
-    lines became one row of width fields, so no line was skipped or split.
+    Comment and whitespace-only lines are cut out of the text, from the
+    line of the first # or whitespace character on (the whole body if it
+    is not ASCII), so a clean body is not scanned line by line.  Empty
+    lines before that are left to np.loadtxt, which skips them.  A table is
+    returned only if every other line became one row of width fields, so
+    no line was skipped or split.
     """
     if "\r" in body:
         body = body.replace("\r\n", "\n")
         if "\r" in body:
             return None
-    hash_at = body.find("#")
-    if hash_at >= 0:
-        # lines before the one holding the first # hold no comment
-        start = body.rfind("\n", 0, hash_at) + 1
-        body = body[:start] + _COMMENT_LINE.sub("", "\n" + body[start:])[1:]
+    marks = [at for at in map(body.find, "#" + _ASCII_BLANKS) if at >= 0] if body.isascii() else [0]
+    if marks:
+        # lines before this one are rows or empty
+        start = body.rfind("\n", 0, min(marks)) + 1
+        body = body[:start] + _SKIPPED_LINE.sub("", "\n" + body[start:])[1:]
         if "#" in body:
             return None
     body = body.rstrip("\n")  # the final line end and trailing empty lines
-    if not body or body.isspace() or any(ch in body for ch in _SEPARATORS):
+    if not body or any(ch in body for ch in _SEPARATORS):
         return None
     try:
         table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    return table if table.shape == (body.count("\n") + 1, width) else None
+    lines = body.count("\n") + 1
+    if len(table) != lines:
+        lines -= len(_SKIPPED_LINE.findall("\n" + body))  # the empty lines left
+    return table if table.shape == (lines, width) else None
 
 
 def _parse_lines(path, lines: list[str], width: int, idx: int) -> tuple[np.ndarray, np.ndarray]:

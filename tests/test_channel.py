@@ -8,6 +8,7 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pklink import channel
 from pklink.channel import (
     DoseEvent,
     DoseSchedule,
@@ -21,7 +22,9 @@ from pklink.channel import (
     peak_time,
     superpose,
 )
+from pklink.cli import run_engine
 from pklink.errors import ConfigurationError, DomainError
+from pklink.scenarios import resolve_scenario
 
 from conftest import BENCH_DOSE, rel_max
 
@@ -205,6 +208,93 @@ def test_superpose_scalar_matches_array(bench_pk):
     arr = superpose(bench_pk, Route.INTRAVENOUS, schedule, t)
     for i, ti in enumerate(t):
         assert superpose(bench_pk, Route.INTRAVENOUS, schedule, float(ti)) == arr[i]
+
+
+def _superpose_per_event(params, route, schedule, t):
+    """superpose as one clipped evaluation per edge: the oracle for reuse."""
+    arr, scalar = channel._as_times(t)
+    channel._check_nonnegative_times(arr)
+    arr = np.atleast_1d(arr)
+    out = np.zeros_like(arr, dtype=float)
+    for event in schedule:
+        if event.mass == 0.0:
+            continue
+        if event.duration == 0.0:
+            tau = arr - event.time
+            live = tau >= 0
+            if np.any(live):
+                out[live] += event.mass * impulse_response(params, route, tau[live])
+        else:
+            rate = event.rate
+            tau_on = np.clip(arr - event.time, 0.0, None)
+            tau_off = np.clip(arr - event.end, 0.0, None)
+            step_on = channel._step_response_raw(params, route, tau_on)
+            out += rate * (step_on - channel._step_response_raw(params, route, tau_off))
+    return float(out[0]) if scalar else out
+
+
+@st.composite
+def _kinetics(draw):
+    k_e = draw(st.floats(1e-5, 1e-1))
+    V = draw(st.floats(1.0, 1e4))
+    kind = draw(st.sampled_from(["iv", "ev", "flip-flop", "near-confluent"]))
+    if kind == "iv":
+        return PkParams(k_e=k_e, V=V), Route.INTRAVENOUS
+    k_a = {
+        "ev": k_e * draw(st.floats(1.1, 30.0)),
+        "flip-flop": k_e / draw(st.floats(1.1, 30.0)),
+        "near-confluent": k_e * (1.0 + draw(st.sampled_from([-1e-10, 1e-10]))),
+    }[kind]
+    return PkParams(k_e=k_e, V=V, k_a=k_a, F=draw(st.floats(0.1, 1.0))), Route.EXTRAVASCULAR
+
+
+@st.composite
+def _dosed_grids(draw):
+    """(schedule, t): doses on and off the grid t = dt*k, some starting
+    after its last sample, with t sorted, shuffled or one scalar."""
+    dt = draw(st.sampled_from([0.25, 0.5, 1.0, 5.0, 12.0, 0.1, 0.3, 7.0 / 3.0]))
+    n = draw(st.integers(1, 300))
+    events = []
+    for _ in range(draw(st.integers(1, 11))):
+        on_grid = st.integers(0, n + 20).map(lambda k: dt * k)
+        time = draw(on_grid | st.floats(0.0, dt * (n + 20)))
+        duration = draw(st.just(0.0) | st.integers(1, 40).map(lambda k: dt * k) | st.floats(0.01, 100.0))
+        mass = draw(st.just(0.0) | st.floats(0.01, 500.0))
+        events.append(DoseEvent(time=time, mass=mass, duration=duration))
+    t = dt * np.arange(n)
+    order = draw(st.sampled_from(["sorted", "shuffled", "scalar"]))
+    if order == "shuffled":
+        t = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(t)
+    elif order == "scalar":
+        t = float(t[draw(st.integers(0, n - 1))])
+    return DoseSchedule(events=tuple(events)), t
+
+
+@settings(max_examples=100, deadline=None)
+@given(kinetics=_kinetics(), case=_dosed_grids())
+def test_superpose_equals_the_per_event_loop_bitwise(kinetics, case):
+    params, route = kinetics
+    schedule, t = case
+    got = superpose(params, route, schedule, t)
+    expect = _superpose_per_event(params, route, schedule, t)
+    assert type(got) is type(expect)
+    assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
+
+
+def test_superpose_evaluates_a_grid_aligned_frame_once(monkeypatch):
+    scenario = resolve_scenario("link-ev")
+    schedule = scenario.schedule()
+    assert len(schedule) > 1 and all(e.duration > 0 for e in schedule)
+    calls = []
+    step_response = channel._step_response_raw
+
+    def counted(params, route, t):
+        calls.append(len(t))
+        return step_response(params, route, t)
+
+    monkeypatch.setattr(channel, "_step_response_raw", counted)
+    run_engine(scenario, "analytic")
+    assert calls == [scenario.grid_size()]
 
 
 def test_dose_event_rate_and_end():

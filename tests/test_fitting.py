@@ -219,16 +219,30 @@ def test_csv_reader_matches_the_line_loop(case):
     assert series.concentrations.tobytes() == expected[1].tobytes()
 
 
+def _with_blank_lines(body: str, blanks: list[str]) -> str:
+    """body with the lines blanks between its rows, 250 rows apart."""
+    rows = body.splitlines(keepends=True)
+    for i, blank in enumerate(blanks):
+        rows.insert(1 + i * 250, blank + "\n")
+    return "".join(rows)
+
+
 def test_clean_files_take_the_one_pass_reader(tmp_path, monkeypatch):
     t = np.linspace(60.0, 4800.0, 2001)
     c = ev_concentration(PkParams(k_e=BENCH_K_E, V=BENCH_V, k_a=BENCH_K_A), BENCH_DOSE, t)
     body = "".join(f"{a!r},{b!r},{2.0 * b!r}\n" for a, b in zip(t.tolist(), c.tolist()))
+    ascii_blanks = ["", "", " ", "\t ", "\x0b\x0c", "\x1c\x1f"]
     files = {
         "lf": ("t,a,b\n" + body).encode(),
         "crlf": ("t,a,b\n" + body).replace("\n", "\r\n").encode(),
         "no final line end": ("t,a,b\n" + body.rstrip("\n")).encode(),
         "byte-order mark": ("t,a,b\n" + body).encode("utf-8-sig"),
         "comments": ("t,a,b\n# morning samples\n" + body + "# max_rel_dev analytic_ode=1e-05\n").encode(),
+        # empty lines before the first whitespace character, then
+        # whitespace-only lines, as str.strip sees them
+        "blank lines": ("t,a,b\n\n" + _with_blank_lines(body, ascii_blanks) + "\n \n").encode(),
+        "blank lines, comment": ("t,a,b\n" + _with_blank_lines(body, ascii_blanks) + "# max_rel_dev 1e-05\n").encode(),
+        "non-ASCII blank lines": ("t,a,b\n" + _with_blank_lines(body, ["\u3000", "\xa0 \u2028"])).encode(),
     }
     monkeypatch.setattr(fitting, "_parse_lines", None)  # no line-by-line fallback
     for name, data in files.items():

@@ -22,8 +22,10 @@ from pklink.errors import (
     DomainError,
     IllConditionedError,
 )
+from pklink.scenarios import MAX_GRID_SAMPLES
 from pklink.signals import (
     FFT_CONVOLUTION_THRESHOLD,
+    MAX_FFT_SIZE,
     SCAN_BLOCK,
     SampledSignal,
     SignalRole,
@@ -147,6 +149,37 @@ def test_next_fast_len_matches_scipy():
     assert [next_fast_len(n) for n in range(1, 20001)] == [scipy.fft.next_fast_len(n) for n in range(1, 20001)]
     with pytest.raises(DomainError):
         next_fast_len(0)
+
+
+def _smooth_mask(lo: int, hi: int) -> np.ndarray:
+    """Which of lo..hi-1 have no prime factor but 2, 3, 5, 7 and 11: each
+    prime is divided out of every multiple of each of its powers."""
+    rest = np.arange(lo, hi)
+    for p in (2, 3, 5, 7, 11):
+        power = p
+        while power < hi:
+            rest[(-lo) % power :: power] //= p
+            power *= p
+    return rest == 1
+
+
+def _next_smooth(n: int) -> int:
+    lo, width = n, 4096
+    while not (hits := np.flatnonzero(_smooth_mask(lo, lo + width))).size:
+        lo, width = lo + width, 2 * width
+    return lo + int(hits[0])
+
+
+def test_next_fast_len_matches_a_brute_force_search():
+    assert 2 * MAX_GRID_SAMPLES <= MAX_FFT_SIZE
+    smooth = np.flatnonzero(_smooth_mask(1, 2**15)) + 1
+    small = np.arange(1, 20001)
+    assert [next_fast_len(n) for n in small.tolist()] == smooth[np.searchsorted(smooth, small)].tolist()
+    for n in np.random.default_rng(2020).integers(20001, 2 * MAX_GRID_SAMPLES, 300).tolist():
+        assert next_fast_len(n) == _next_smooth(n), n
+    assert next_fast_len(MAX_FFT_SIZE) == MAX_FFT_SIZE == _next_smooth(MAX_FFT_SIZE)
+    with pytest.raises(DomainError):
+        next_fast_len(MAX_FFT_SIZE + 1)
 
 
 def _scan_loop(d, p):
