@@ -44,6 +44,11 @@ class Route(enum.Enum):
     EXTRAVASCULAR = "extravascular"
 
 
+def confluent(k_a: float, k_e: float) -> bool:
+    """True when k_a and k_e are too close to separate numerically."""
+    return abs(k_a - k_e) < DEGENERATE_RATE_TOL * max(k_a, k_e)
+
+
 class Normalization(enum.Enum):
     """Output family of an impulse response: compartment amount or concentration."""
 
@@ -83,9 +88,7 @@ class PkParams:
     @property
     def degenerate(self) -> bool:
         """True when k_a and k_e are too close to separate numerically."""
-        if self.k_a is None:
-            return False
-        return abs(self.k_a - self.k_e) < DEGENERATE_RATE_TOL * max(self.k_a, self.k_e)
+        return self.k_a is not None and confluent(self.k_a, self.k_e)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .channel import PkParams, Route, Normalization, impulse_response, peak_time, superpose
-from .errors import ConfigurationError, PkLinkError, UsageError, exit_code_for
+from .errors import ConfigurationError, DomainError, PkLinkError, UsageError, exit_code_for
 from .fitting import ConcentrationSeries, fit_least_squares, fit_residuals
 from .modem import DetectionReport, add_noise, detect, symbol_samples
 from .scenarios import Scenario, builtin_scenarios, resolve_scenario
@@ -172,10 +172,14 @@ def plan_report(
     """Render hardware planning results, flagging inconsistent nominal data.
 
     mode "flows" plans pump settings for fixed vessels; mode "volumes"
-    plans vessel sizes for one shared pump flow.  When nominal volumes are
-    supplied and disagree with the planned ones by more than 1%, a warning
-    line documents that the nominal pair violates Q = k*V.
+    plans vessel sizes for one shared pump flow.  Nominal volumes, when
+    supplied, must be positive and finite; when they disagree with the
+    planned ones by more than 1%, a warning line documents that the
+    nominal pair violates Q = k*V.
     """
+    for name, value in zip(("V_a", "V_b"), nominal_volumes or ()):
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"nominal {name} must be positive and finite, got {value}")
     lines = [f"mode: {mode}", f"k_a: {_fmt(k_a)}", f"k_e: {_fmt(k_e)}"]
     if mode == "flows":
         if volumes is None:
@@ -310,7 +314,9 @@ def _cmd_plan(args) -> int:
     if args.v_a is not None and args.v_b is not None:
         volumes = (args.v_a, args.v_b)
     nominal = None
-    if args.check_v_a is not None and args.check_v_b is not None:
+    if (args.check_v_a is None) != (args.check_v_b is None):
+        raise UsageError("--check-v-a and --check-v-b must be given together")
+    if args.check_v_a is not None:
         nominal = (args.check_v_a, args.check_v_b)
     if args.scenario:
         scenario = resolve_scenario(args.scenario)

@@ -64,8 +64,6 @@ def exit_code_for(exc: BaseException) -> int:
         return EXIT_DATA
     if isinstance(exc, DetectionError):
         return EXIT_SYNC
-    if isinstance(exc, NumericError):
-        return EXIT_NUMERIC
-    if isinstance(exc, PkLinkError):
+    if isinstance(exc, PkLinkError):  # NumericError and any other package error
         return EXIT_NUMERIC
     return 1

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DEGENERATE_RATE_TOL, PkParams, Route
+from .channel import PkParams, Route, confluent
 from .errors import ConvergenceError, DataError, DomainError
 
 MAX_ITERATIONS = 200
@@ -218,7 +218,7 @@ def _model(route: Route, t, k_e: float, amplitude: float, k_a: float | None):
         def columns():
             return -amplitude * arr * decay, decay
 
-    elif abs(k_a - k_e) < DEGENERATE_RATE_TOL * max(k_a, k_e):
+    elif confluent(k_a, k_e):
         decay = np.exp(-k_a * arr)
         prediction = amplitude * k_a * arr * decay
 
@@ -372,17 +372,15 @@ def fit_least_squares(
     data: ConcentrationSeries,
     init: PkParams,
     volume: float | None = None,
-    max_iterations: int = MAX_ITERATIONS,
-    step_tolerance: float = STEP_TOLERANCE,
 ) -> FitResult:
     """Damped Gauss-Newton least squares in log-parameter space.
 
     Parameters are the rates and the lumped amplitude, iterated on their
     logarithms so positivity is structural and the step tolerance is
-    relative.  Steps that do not reduce the residual are retried with ten
-    times the damping; twenty consecutive rejections abort with a
-    convergence error.  Iteration stops when the relative step drops below
-    step_tolerance or after max_iterations.
+    relative.  A rejected step is retried with ten times the damping;
+    MAX_REJECTED_STEPS consecutive rejections abort with a convergence
+    error.  Iteration stops when the relative step drops below
+    STEP_TOLERANCE or after MAX_ITERATIONS.
     """
     t = data.times
     c = data.concentrations
@@ -407,52 +405,47 @@ def fit_least_squares(
         # chain rule: d/d(log p) = p * d/dp
         return prediction - c, lambda: jacobian_of((k_a, k_e, amp) if ev else (k_e, amp))
 
+    def damped_trial(normal, gradient, mu):
+        """(parameters, residual, Jacobian function, rss, step) of the step
+        from theta at damping mu, or None when the step is rejected: it
+        cannot be solved for, leaves the representable parameter range
+        (exp over- or underflows), or does not reduce the residual."""
+        damped = normal + mu * np.diag(np.maximum(np.diag(normal), 1e-300))
+        try:
+            step = np.linalg.solve(damped, -gradient)
+        except np.linalg.LinAlgError:
+            return None
+        trial = theta + step
+        with np.errstate(over="ignore"):
+            p_trial = np.exp(trial)
+        if not np.all(np.isfinite(p_trial)) or np.any(p_trial <= 0.0):
+            return None
+        r_trial, jacobian_trial = evaluate(trial)
+        rss_trial = float(r_trial @ r_trial)
+        if not (math.isfinite(rss_trial) and rss_trial <= rss):
+            return None
+        return trial, r_trial, jacobian_trial, rss_trial, step
+
     r, jacobian_at = evaluate(theta)
     rss = float(r @ r)
     mu = 1e-3
-    rejected = 0
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         j_log = jacobian_at()
         gradient = j_log.T @ r
         normal = j_log.T @ j_log
-        accepted = False
-        while rejected < MAX_REJECTED_STEPS:
-            damped = normal + mu * np.diag(np.maximum(np.diag(normal), 1e-300))
-            try:
-                step = np.linalg.solve(damped, -gradient)
-            except np.linalg.LinAlgError:
-                mu *= 10.0
-                rejected += 1
-                continue
-            trial = theta + step
-            with np.errstate(over="ignore"):
-                p_trial = np.exp(trial)
-            if not np.all(np.isfinite(p_trial)) or np.any(p_trial <= 0.0):
-                # exp over/underflow: the step left the representable
-                # parameter range, treat it as a rejected trial
-                mu *= 10.0
-                rejected += 1
-                continue
-            r_trial, jacobian_trial = evaluate(trial)
-            rss_trial = float(r_trial @ r_trial)
-            if not math.isfinite(rss_trial):
-                mu *= 10.0
-                rejected += 1
-                continue
-            if rss_trial <= rss:
-                theta, r, jacobian_at, rss = trial, r_trial, jacobian_trial, rss_trial
-                mu = max(mu / 3.0, 1e-12)
-                rejected = 0
-                accepted = True
+        for _ in range(MAX_REJECTED_STEPS):
+            accepted = damped_trial(normal, gradient, mu)
+            if accepted is not None:
                 break
             mu *= 10.0
-            rejected += 1
-        if rejected >= MAX_REJECTED_STEPS:
+        else:
             raise ConvergenceError(
                 f"residual failed to decrease for {MAX_REJECTED_STEPS} consecutive damped steps"
             )
-        if accepted and float(np.max(np.abs(step))) < step_tolerance:
+        theta, r, jacobian_at, rss, step = accepted
+        mu = max(mu / 3.0, 1e-12)
+        if float(np.max(np.abs(step))) < STEP_TOLERANCE:
             break
 
     k_a, k_e, amp = unpack(theta)

@@ -5,12 +5,11 @@ releases one dose at the start of its symbol slot, either as an ideal
 impulse or as a constant-rate pump pulse.  The receiver deconvolves the
 concentration signal back to a mass-rate estimate, integrates the
 recovered mass per symbol window, locates the preamble, and thresholds
-each window against a fraction of the per-symbol dose.
+each window against half the per-symbol dose.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,6 +38,9 @@ PREAMBLE = (1, 1, 1)
 
 # Canonical loopback payload: every ordered pair of adjacent bits occurs.
 REFERENCE_PAYLOAD = (0, 1, 0, 1, 0, 0, 1, 1)
+
+# Decide 1 where a window holds more than half the dose.
+THRESHOLD_FRACTION = 0.5
 
 # Frames ber_sweep decides as one stack: enough to spread the per-stack
 # costs, few enough that the stack adds little to peak memory (0.6 MB for
@@ -250,7 +252,6 @@ class DetectionReport:
     statistics: tuple[float, ...]  # recovered mass per frame symbol window, mg
     frame_start: float
     threshold: float
-    symbol_period: float
     recovered: SampledSignal
     errors: int | None = None
 
@@ -264,21 +265,16 @@ class DetectionReport:
     def decisions(self) -> tuple[int, ...]:
         return tuple(int(s > self.threshold) for s in self.statistics)
 
-    def to_csv(self, target):
-        """Per-symbol rows followed by a one-row summary section.
-
-        target is a file path or an open text handle, which is left open.
-        """
-        is_handle = hasattr(target, "write")
-        with contextlib.nullcontext(target) if is_handle else open(target, "w", newline="") as fh:
-            fh.write("symbol,statistic,decision\n")
-            for i, (stat, dec) in enumerate(zip(self.statistics, self.decisions)):
-                fh.write(f"{i},{float(stat)!r},{dec}\n")
-            fh.write("frame_start,threshold,errors,ber\n")
-            errors = "" if self.errors is None else str(self.errors)
-            ber_val = self.ber
-            ber_txt = "" if ber_val is None else repr(float(ber_val))
-            fh.write(f"{float(self.frame_start)!r},{float(self.threshold)!r},{errors},{ber_txt}\n")
+    def to_csv(self, fh):
+        """Write per-symbol rows and a one-row summary section to an open text handle."""
+        fh.write("symbol,statistic,decision\n")
+        for i, (stat, dec) in enumerate(zip(self.statistics, self.decisions)):
+            fh.write(f"{i},{float(stat)!r},{dec}\n")
+        fh.write("frame_start,threshold,errors,ber\n")
+        errors = "" if self.errors is None else str(self.errors)
+        ber_val = self.ber
+        ber_txt = "" if ber_val is None else repr(float(ber_val))
+        fh.write(f"{float(self.frame_start)!r},{float(self.threshold)!r},{errors},{ber_txt}\n")
 
 
 def _check_records(records: np.ndarray) -> None:
@@ -291,7 +287,7 @@ class Receiver:
 
     Built once per (params, route, dt, n, lam), it owns the channel kernel,
     the cached Tikhonov solve and the decision threshold
-    threshold_fraction * dose_mass, and works on a 2-D stack of records
+    THRESHOLD_FRACTION * dose_mass, and works on a 2-D stack of records
     (rows x samples).  decode recovers the mass-rate waveform with one
     transform along the samples axis and sums it per window; decide gives
     the same window sums, up to rounding, as one product with the
@@ -305,17 +301,14 @@ class Receiver:
         config: ModulationConfig,
         dt: float,
         n: int,
-        threshold_fraction: float = 0.5,
         lam: float | None = None,
     ):
-        if not (0.0 < threshold_fraction < 1.0):
-            raise DomainError(f"threshold_fraction must lie in (0, 1), got {threshold_fraction}")
         self.dt = dt
         self.window = symbol_samples(config, dt)
         self.n_windows = n // self.window
         kernel = sampled_kernel(params, config.route, dt, n)
         self.solve = TikhonovSolve(kernel.samples, dt, n, n, lam)
-        self.threshold = threshold_fraction * config.dose_mass
+        self.threshold = THRESHOLD_FRACTION * config.dose_mass
 
     @cached_property
     def window_map(self) -> np.ndarray:
@@ -375,7 +368,6 @@ def detect(
     received: SampledSignal,
     params: PkParams,
     config: ModulationConfig,
-    threshold_fraction: float = 0.5,
     payload_length: int | None = None,
     lam: float | None = None,
     reference=None,
@@ -384,7 +376,7 @@ def detect(
 
     Steps: deconvolve with the channel kernel to estimate the transmitted
     mass rate, integrate recovered mass over each symbol window, find the
-    first window above threshold_fraction * dose_mass and verify the three
+    first window above THRESHOLD_FRACTION * dose_mass and verify the three
     consecutive preamble windows, then threshold the payload windows.
     These are the steps of a Receiver built for this one record and
     applied to it as a one-row stack.  Windows are aligned to the sample
@@ -393,7 +385,7 @@ def detect(
     raises a truncation error; otherwise every full window after the
     preamble is decoded.
     """
-    receiver = Receiver(params, config, received.dt, len(received), threshold_fraction, lam)
+    receiver = Receiver(params, config, received.dt, len(received), lam)
     recovered, stats, starts = receiver.decode(received.samples[np.newaxis])
     if receiver.n_windows < len(PREAMBLE):
         raise SynchronizationError("signal is shorter than the preamble")
@@ -427,7 +419,6 @@ def detect(
         statistics=tuple(float(s) for s in frame_stats),
         frame_start=received.t0 + start * receiver.window * received.dt,
         threshold=receiver.threshold,
-        symbol_period=config.symbol_period,
         recovered=SampledSignal(t0=received.t0, dt=received.dt, samples=recovered[0], role=SignalRole.MASS_RATE),
         errors=errors,
     )
@@ -454,8 +445,6 @@ def ber_sweep(
     spike_prob: float = 0.0,
     spike_scale: float = 0.0,
     dt: float | None = None,
-    tail: float | None = None,
-    threshold_fraction: float = 0.5,
     lam: float | None = None,
 ) -> list[float]:
     """Monte-Carlo bit error rate across noise amplitudes.
@@ -481,10 +470,8 @@ def ber_sweep(
     if dt is None:
         dt = config.symbol_period / 100.0
     rate_floor = params.k_e if config.route is Route.INTRAVENOUS else min(params.require_k_a(), params.k_e)
-    if tail is None:
-        tail = 8.0 / rate_floor
     n_symbols = len(PREAMBLE) + payload_length
-    horizon = n_symbols * config.symbol_period + tail
+    horizon = n_symbols * config.symbol_period + 8.0 / rate_floor
     n = int(round(horizon / dt)) + 1
     sigmas = np.asarray(list(sigmas), dtype=float)
 
@@ -494,7 +481,7 @@ def ber_sweep(
         return pulse.samples
 
     pulses = [slot_pulse(event) for event in modulate_ook(frame((1,) * payload_length), config)]
-    receiver = Receiver(params, config, dt, n, threshold_fraction, lam)
+    receiver = Receiver(params, config, dt, n, lam)
 
     def frame_rows(frame_seed: int, payload: np.ndarray) -> np.ndarray:
         clean = np.zeros(n)

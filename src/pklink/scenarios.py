@@ -123,6 +123,9 @@ class Scenario:
             raise UsageError("scenario needs either a doses section or a modulation section")
         if self.modulation is not None and self.payload is None:
             raise UsageError("scenario field payload: required when modulation is present")
+        nominal = self.nominal_volumes
+        if nominal is not None and not all(math.isfinite(v) and v > 0 for v in nominal):
+            raise UsageError(f"scenario field nominal_volumes: must be positive and finite, got {list(nominal)}")
 
     def schedule(self) -> DoseSchedule:
         """The dose schedule this scenario transmits."""
@@ -136,14 +139,9 @@ class Scenario:
         horizon: float | None = None,
         seed: int | None = None,
     ) -> "Scenario":
-        out = self
-        if dt is not None:
-            out = replace(out, dt=dt)
-        if horizon is not None:
-            out = replace(out, horizon=horizon)
-        if seed is not None:
-            out = replace(out, seed=seed)
-        return out
+        """This scenario with each given field replaced, validated once as a whole."""
+        given = {"dt": dt, "horizon": horizon, "seed": seed}
+        return replace(self, **{key: value for key, value in given.items() if value is not None})
 
     def grid_size(self) -> int:
         """Number of samples on the scenario grid, endpoint included."""

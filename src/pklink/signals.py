@@ -15,13 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DoseSchedule, Normalization, PkParams, Route, impulse_response
+from .channel import DoseSchedule, PkParams, Route, impulse_response
 from .errors import ConfigurationError, DomainError, IllConditionedError
-
-# Output size at or above which convolve switches from direct summation to
-# FFT evaluation.  Both paths agree to 1e-9 relative; the split is purely
-# a speed choice.
-FFT_CONVOLUTION_THRESHOLD = 2**14
 
 # Relative tolerance used when two signals must share a sample step.
 DT_MATCH_RTOL = 1e-12
@@ -103,32 +98,22 @@ class Spectrum:
 def sample(f, t0: float, dt: float, n: int, role: SignalRole = SignalRole.CONCENTRATION) -> SampledSignal:
     """Sample a time function on the grid t0 + k*dt, k = 0..n-1.
 
-    f is called once on the whole grid.  A scalar-only callable such as
-    math.exp raises TypeError there, or returns a value of the wrong shape,
-    and is then called point by point; any other exception propagates.
+    f is called once on the whole grid and must return one value per grid
+    point; any other shape is a DomainError.
     """
     if n < 1:
         raise DomainError("sample count must be >= 1")
     t = t0 + dt * np.arange(n)
-    try:
-        values = np.asarray(f(t), dtype=float)
-    except TypeError:
-        values = None
-    if values is None or values.shape != t.shape:
-        values = np.array([float(f(ti)) for ti in t])
+    values = np.asarray(f(t), dtype=float)
+    if values.shape != t.shape:
+        raise DomainError(f"sampled function returned shape {values.shape} on a grid of {n} points")
     if not np.all(np.isfinite(values)):
         raise DomainError("sampled function is not finite on the grid")
     return SampledSignal(t0=t0, dt=dt, samples=values, role=role)
 
 
-def sampled_kernel(
-    params: PkParams,
-    route: Route,
-    dt: float,
-    n: int,
-    normalization: Normalization = Normalization.CONCENTRATION,
-) -> SampledSignal:
-    """Impulse-response kernel discretized for zero-order-hold inputs.
+def sampled_kernel(params: PkParams, route: Route, dt: float, n: int) -> SampledSignal:
+    """Concentration impulse-response kernel discretized for zero-order-hold inputs.
 
     Tap j approximates the response averaged over lag interval
     [(j-1)*dt, j*dt] by its midpoint value, with tap 0 equal to zero, so
@@ -145,13 +130,12 @@ def sampled_kernel(
     taps = np.zeros(n)
     if n > 1:
         lag_mid = (np.arange(1, n) - 0.5) * dt
-        taps[1:] = impulse_response(params, route, lag_mid, normalization)
-    role = SignalRole.CONCENTRATION if normalization is Normalization.CONCENTRATION else SignalRole.MASS
-    return SampledSignal(t0=0.0, dt=dt, samples=taps, role=role)
+        taps[1:] = impulse_response(params, route, lag_mid)
+    return SampledSignal(t0=0.0, dt=dt, samples=taps, role=SignalRole.CONCENTRATION)
 
 
-def dose_rate_signal(schedule: DoseSchedule, dt: float, n: int, t0: float = 0.0) -> SampledSignal:
-    """Render a dose schedule as a zero-order-hold mass-rate signal.
+def dose_rate_signal(schedule: DoseSchedule, dt: float, n: int) -> SampledSignal:
+    """Render a dose schedule as a zero-order-hold mass-rate signal on t = k*dt.
 
     Impulsive doses land in the single step containing their event time;
     finite infusions are spread over their rounded step span.  Total mass
@@ -161,17 +145,17 @@ def dose_rate_signal(schedule: DoseSchedule, dt: float, n: int, t0: float = 0.0)
         raise DomainError("signal length must be >= 1")
     samples = np.zeros(n)
     for event in schedule:
-        i0 = int(round((event.time - t0) / dt))
+        i0 = int(round(event.time / dt))
         if event.duration == 0.0:
             if not (0 <= i0 < n):
                 raise ConfigurationError(f"dose at t={event.time} falls outside the signal grid")
             samples[i0] += event.mass / dt
         else:
-            i1 = max(i0 + 1, int(round((event.end - t0) / dt)))
+            i1 = max(i0 + 1, int(round(event.end / dt)))
             if i0 < 0 or i1 > n:
                 raise ConfigurationError(f"dose over [{event.time}, {event.end}] falls outside the signal grid")
             samples[i0:i1] += event.mass / ((i1 - i0) * dt)
-    return SampledSignal(t0=t0, dt=dt, samples=samples, role=SignalRole.MASS_RATE)
+    return SampledSignal(t0=0.0, dt=dt, samples=samples, role=SignalRole.MASS_RATE)
 
 
 def _check_dt_match(x: SampledSignal, h: SampledSignal):
@@ -234,18 +218,14 @@ def next_fast_len(n: int) -> int:
 def convolve(x: SampledSignal, h: SampledSignal) -> SampledSignal:
     """Discrete convolution scaled by dt; approximates continuous convolution.
 
-    Output starts at x.t0 + h.t0 and has len(x) + len(h) - 1 samples.
-    Direct summation is used for small outputs and FFT evaluation above
-    FFT_CONVOLUTION_THRESHOLD output samples.
+    Output starts at x.t0 + h.t0 and has len(x) + len(h) - 1 samples,
+    evaluated by FFT.
     """
     _check_dt_match(x, h)
     n_out = len(x) + len(h) - 1
-    if n_out < FFT_CONVOLUTION_THRESHOLD:
-        acc = np.convolve(x.samples, h.samples)
-    else:
-        n_fft = next_fast_len(n_out)
-        spectra = np.fft.rfft(x.samples, n_fft) * np.fft.rfft(h.samples, n_fft)
-        acc = np.fft.irfft(spectra, n_fft)[:n_out]
+    n_fft = next_fast_len(n_out)
+    spectra = np.fft.rfft(x.samples, n_fft) * np.fft.rfft(h.samples, n_fft)
+    acc = np.fft.irfft(spectra, n_fft)[:n_out]
     return SampledSignal(
         t0=x.t0 + h.t0,
         dt=x.dt,

@@ -66,6 +66,10 @@ def test_impulse_writes_normalized_columns(tmp_path):
     ev_norm = np.array([float(line.split(",")[6]) for line in lines[1:]])
     assert ev_norm.max() == pytest.approx(1.0, abs=1e-5)
     assert ev_norm[0] == 0.0
+    # the grid is checked once both overrides apply: dt 9000 alone would
+    # exceed the scenario's 8000 s horizon
+    assert main(["impulse", "--scenario", "bench-iv", "--dt", "9000", "--horizon", "90000", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 11
 
 
 def test_simulate_reports_engine_agreement(tmp_path):
@@ -223,6 +227,9 @@ def test_usage_errors_exit_with_2(tmp_path, capsys):
         (["simulate", "--scenario", str(fine_grid), "--horizon", "8000"], "grid"),
         (["link", "--scenario", str(noisy), "--seed", "-2"], "seed"),
         (["link", "--scenario", str(negative_seed)], "seed"),
+    ) + tuple(
+        (["plan", "--mode", "volumes", "--scenario", str(_nominal_file(tmp_path, value))], "nominal_volumes")
+        for value in ("0", "-1", ".nan")
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -234,12 +241,25 @@ def test_usage_errors_exit_with_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: cannot open output file")
         assert "Traceback" not in err
+    for check in (["--check-v-a", "300"], ["--check-v-b", "300"]):  # half a pair
+        assert main(["plan", "--mode", "volumes", "--k-a", "1e-3", "--k-e", "1e-3", "--flow", "1"] + check) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --check-v-a and --check-v-b must be given together\n"
     undecodable = tmp_path / "latin1.yaml"
     undecodable.write_bytes(resolve_scenario("bench-iv").to_text().replace("bench", "b\xe9nch").encode("latin-1"))
     assert main(["simulate", "--scenario", str(undecodable)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot decode scenario file {undecodable}")
     assert "Traceback" not in err
+
+
+def _nominal_file(tmp_path, v_a: str):
+    """bench-iv with the nominal V_a replaced by the YAML scalar v_a."""
+    text = resolve_scenario("bench-iv").to_text()
+    assert "- 650.0\n" in text
+    path = tmp_path / f"nominal-{v_a}.yaml"
+    path.write_text(text.replace("- 650.0\n", f"- {v_a}\n"))
+    return path
 
 
 def test_scenario_numbers_must_be_finite(tmp_path, capsys):
@@ -296,6 +316,13 @@ def test_numeric_errors_exit_with_4(tmp_path, capsys):
     prefix = "error: estimated elimination rate is not positive: "
     assert err.startswith(prefix)
     assert float(err[len(prefix):]) < 0
+    # nominal volumes from flags are checked before any division by them
+    for value in ("0", "-1", "nan"):
+        argv = ["plan", "--mode", "volumes", "--k-a", "1e-3", "--k-e", "1e-3", "--flow", "1"]
+        assert main(argv + ["--check-v-a", value, "--check-v-b", "1"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: nominal V_a must be positive and finite")
+        assert "Traceback" not in err
 
 
 def test_detection_errors_exit_with_5(capsys):
@@ -436,10 +463,13 @@ def test_one_command_parser_parses_as_the_whole_tree(argv):
         assert _parse(build_parser(argv[0]), argv) == _parse(build_parser(), argv)
 
 
-# Values the fuzz test gives --dt, --horizon, --seed and --lam.  With the
-# scenarios below no accepted grid exceeds 8001 samples: each value either
-# leaves the grid coarser than the scenario's own or is refused.
+# Values the fuzz test gives --dt, --horizon, --seed and --lam, and plan's
+# rates, flow and volumes.  With the scenarios below no accepted grid
+# exceeds 8001 samples: each value either leaves the grid coarser than the
+# scenario's own or is refused.
 FUZZ_FLAG_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e-300", "1e308", "2.5", "600")
+# The flags of plan the fuzz test sets.
+FUZZ_PLAN_FLAGS = ("--k-a", "--k-e", "--flow", "--v-a", "--v-b", "--check-v-a", "--check-v-b")
 # Built-ins with grids of at most 8001 samples, and link-ev with noise on,
 # where --seed reaches the random generator.
 FUZZ_SCENARIOS = ("bench-iv", "bench-ev", "link-iv", "link-ev", "link-ev-noisy")
@@ -468,9 +498,12 @@ def _fuzz_cases(draw):
     """(argv, scenario text or None, fit CSV bytes or None) of one CLI call."""
     kind = draw(st.sampled_from(("flags", "scenario", "fit")))
     if kind == "flags":
-        command = draw(st.sampled_from(("impulse", "simulate", "link")))
-        argv = [command, "--scenario", draw(st.sampled_from(FUZZ_SCENARIOS))]
-        names = ("--dt", "--horizon", "--seed") + (("--lam",) if command == "link" else ())
+        command = draw(st.sampled_from(("impulse", "simulate", "link", "plan")))
+        if command == "plan":
+            argv, names = ["plan", "--mode", draw(st.sampled_from(("flows", "volumes")))], FUZZ_PLAN_FLAGS
+        else:
+            argv = [command, "--scenario", draw(st.sampled_from(FUZZ_SCENARIOS))]
+            names = ("--dt", "--horizon", "--seed") + (("--lam",) if command == "link" else ())
         for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True)):
             argv += [name, draw(st.sampled_from(FUZZ_FLAG_VALUES))]
         return argv, None, None
@@ -479,7 +512,8 @@ def _fuzz_cases(draw):
         text = resolve_scenario(name).to_text()
         start, end = draw(st.sampled_from(_fuzz_scalar_spans(text)))
         text = text[:start] + draw(st.sampled_from(FUZZ_SCALARS)) + text[end:]
-        command = ["link"] if name.startswith("link") else draw(st.sampled_from((["simulate"], ["impulse"])))
+        commands = (["simulate"], ["impulse"], ["plan", "--mode", "volumes"])
+        command = ["link"] if name.startswith("link") else draw(st.sampled_from(commands))
         return command + ["--scenario", "fuzz"], text, None
     data = bytearray(draw(st.sampled_from(FUZZ_FIT_FILES)).encode())
     for _ in range(draw(st.integers(1, 4))):
@@ -510,6 +544,8 @@ def fuzz_dir(tmp_path_factory):
 @example(case=(["simulate", "--scenario", "bench-iv", "--horizon", "1e308"], None, None))
 @example(case=(["link", "--scenario", "link-ev", "--dt", "1e-300"], None, None))
 @example(case=(["link", "--scenario", "link-ev-noisy", "--seed", "-1"], None, None))
+@example(case=(["plan", "--mode", "volumes", "--k-a", "1e-3", "--k-e", "1e-3", "--flow", "1",
+                "--check-v-a", "0", "--check-v-b", "1"], None, None))
 def test_cli_fuzz_exits_cleanly(fuzz_dir, case):
     argv, scenario_text, fit_csv = case
     if scenario_text is not None:

@@ -111,6 +111,9 @@ def test_overrides_and_grid_size():
     assert changed.pk == scenario.pk
     assert changed.grid_size() == 2001
     assert scenario.with_overrides() == scenario
+    # the overrides are validated together: dt 1e-5 over the scenario's own
+    # 8000 s horizon would exceed MAX_GRID_SAMPLES
+    assert scenario.with_overrides(dt=1e-5, horizon=10.0).grid_size() == 1_000_001
 
 
 def test_link_scenario_schedule_matches_modulator():

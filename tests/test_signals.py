@@ -24,7 +24,6 @@ from pklink.errors import (
 )
 from pklink.scenarios import MAX_GRID_SAMPLES
 from pklink.signals import (
-    FFT_CONVOLUTION_THRESHOLD,
     MAX_FFT_SIZE,
     SCAN_BLOCK,
     SampledSignal,
@@ -63,23 +62,21 @@ def test_signal_validation():
     assert x.energy() == pytest.approx(0.5 * np.sum(np.arange(5.0) ** 2))
 
 
-def test_sample_falls_back_to_scalar_functions():
-    vectorized = sample(lambda t: np.exp(-t), 0.0, 0.5, 20)
-    scalar = sample(lambda t: math.exp(-t), 0.0, 0.5, 20)
-    # np.exp and math.exp may disagree in the last ulp
-    assert np.allclose(vectorized.samples, scalar.samples, rtol=1e-15, atol=0.0)
-    assert scalar.samples.shape == (20,)
-
-
 def test_sample_propagates_errors_of_vectorized_callables():
-    # only TypeError, what math.exp raises on an array, selects the
-    # point-by-point path; a ValueError from a branch on an array is a bug
-    # in the callable and must surface, even though each point would pass
+    # sample calls f once, on the whole grid; a ValueError from a branch on
+    # an array is a bug in the callable and must surface, even though each
+    # point would pass
     def scalar_branch(t):
         return 0.0 if t < 1.0 else math.exp(-t)
 
     with pytest.raises(ValueError, match="ambiguous"):
         sample(scalar_branch, 0.0, 0.5, 20)
+    # a scalar-only callable fails on the grid, and a single value for the
+    # whole grid is refused
+    with pytest.raises(TypeError):
+        sample(math.exp, 0.0, 0.5, 20)
+    with pytest.raises(DomainError, match="shape"):
+        sample(lambda t: 1.0, 0.0, 0.5, 20)
 
 
 def test_sampled_kernel_uses_midpoint_taps(bench_pk):
@@ -123,8 +120,8 @@ def test_direct_and_fft_convolution_agree():
     rng = np.random.default_rng(3)
     x = SampledSignal(0.0, 1.0, rng.standard_normal(12000), SignalRole.MASS_RATE)
     h = SampledSignal(0.0, 1.0, rng.standard_normal(6000), SignalRole.CONCENTRATION)
-    fft_out = convolve(x, h).samples  # 17999 samples, above the FFT threshold
-    direct = np.convolve(x.samples, h.samples) * x.dt
+    fft_out = convolve(x, h).samples
+    direct = np.convolve(x.samples, h.samples) * x.dt  # the direct sum, as reference
     assert rel_max(fft_out, direct) < 1e-9
 
 
@@ -134,10 +131,7 @@ def test_direct_and_fft_convolution_agree():
     n_h=st.integers(min_value=1, max_value=20000),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-@example(n_x=FFT_CONVOLUTION_THRESHOLD, n_h=1, seed=0)
-@example(n_x=1, n_h=FFT_CONVOLUTION_THRESHOLD + 7, seed=1)
 def test_fft_convolution_matches_fftconvolve(n_x, n_h, seed):
-    n_x = max(n_x, FFT_CONVOLUTION_THRESHOLD + 1 - n_h)
     rng = np.random.default_rng(seed)
     x = SampledSignal(0.0, 0.5, rng.standard_normal(n_x), SignalRole.MASS_RATE)
     h = SampledSignal(0.0, 0.5, rng.random(n_h), SignalRole.CONCENTRATION)
