@@ -161,6 +161,11 @@ def run_link(scenario: Scenario, engine: str = "analytic", lam: float | None = N
     )
 
 
+def _rel_dev(values, nominal) -> float:
+    """Largest relative deviation of values from nominal, element by element."""
+    return max(abs(v - n) / n for v, n in zip(values, nominal))
+
+
 def plan_report(
     k_a: float,
     k_e: float,
@@ -175,7 +180,8 @@ def plan_report(
     plans vessel sizes for one shared pump flow.  Nominal volumes, when
     supplied, must be positive and finite; when they disagree with the
     planned ones by more than 1%, a warning line documents that the
-    nominal pair violates Q = k*V.
+    nominal pair violates Q = k*V, and says the pair looks swapped when
+    the swapped pair agrees within PLAN_WARN_RTOL.
     """
     for name, value in zip(("V_a", "V_b"), nominal_volumes or ()):
         if not (math.isfinite(value) and value > 0):
@@ -202,13 +208,14 @@ def plan_report(
             f"V_b: {_fmt(v_b)}",
         ]
         if nominal_volumes is not None:
-            dev_a = abs(v_a - nominal_volumes[0]) / nominal_volumes[0]
-            dev_b = abs(v_b - nominal_volumes[1]) / nominal_volumes[1]
-            if max(dev_a, dev_b) > PLAN_WARN_RTOL:
+            nom_a, nom_b = nominal_volumes
+            if _rel_dev((v_a, v_b), (nom_a, nom_b)) > PLAN_WARN_RTOL:
+                swapped = _rel_dev((v_a, v_b), (nom_b, nom_a)) <= PLAN_WARN_RTOL
                 lines.append(
                     f"WARNING: planned volumes (V_a={_fmt(v_a)}, V_b={_fmt(v_b)}) disagree with "
-                    f"the nominal volumes (V_a={_fmt(nominal_volumes[0])}, V_b={_fmt(nominal_volumes[1])}) "
-                    f"by more than 1%; the nominal pair is inconsistent with Q = k*V and looks swapped."
+                    f"the nominal volumes (V_a={_fmt(nom_a)}, V_b={_fmt(nom_b)}) "
+                    f"by more than 1%; the nominal pair is inconsistent with Q = k*V"
+                    + (" and looks swapped." if swapped else ".")
                 )
         return lines
     raise UsageError(f"unknown plan mode {mode!r}; choose flows or volumes")

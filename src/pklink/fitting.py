@@ -240,7 +240,16 @@ def _model(route: Route, t, k_e: float, amplitude: float, k_a: float | None):
             return amplitude * d_ka, amplitude * d_ke, (k_a / delta) * diff
 
     def scaled_jacobian(factors):
-        cols = columns()
+        try:
+            cols = columns()
+        except ZeroDivisionError:  # (k_a - k_e)**2 underflows to zero
+            cols = (np.full(arr.size, np.nan),)
+        # a column's sum of squares is 0 for a zero column, inf or nan for
+        # one that is not finite (or whose squares under- or overflow)
+        if not all(0.0 < float(col @ col) < math.inf for col in cols):
+            raise ConvergenceError(
+                f"Jacobian cannot be formed at k_a={k_a!r}, k_e={k_e!r}, amplitude={amplitude!r}"
+            )
         out = np.empty((arr.size, len(cols)))
         for j, (col, factor) in enumerate(zip(cols, factors)):
             np.multiply(col, factor, out=out[:, j])

@@ -176,9 +176,9 @@ def _combine_roles(a: SignalRole, b: SignalRole) -> SignalRole:
 
 
 def _odd_smooth(limit: int) -> list[int]:
-    """The odd numbers <= limit whose only prime factors are 3, 5, 7 and 11, sorted."""
+    """The odd numbers <= limit whose only prime factors are 3 and 5, sorted."""
     odd = [1]
-    for prime in (3, 5, 7, 11):
+    for prime in (3, 5):
         grown = []
         for q in odd:
             while q <= limit:
@@ -192,22 +192,24 @@ def _odd_smooth(limit: int) -> list[int]:
 # of two grids of scenarios.MAX_GRID_SAMPLES samples fits below it.
 MAX_FFT_SIZE = 2**28
 
-# The 1380 odd parts of the sizes up to MAX_FFT_SIZE, built once at import.
+# The 122 odd parts of the sizes up to MAX_FFT_SIZE, built once at import.
 # Built with numpy's outer product and sort instead, the table raised a
 # run's peak RSS by about 0.4 MB: code pages that no other call touches.
 _ODD_SMOOTH = _odd_smooth(MAX_FFT_SIZE)
 
 
 def next_fast_len(n: int) -> int:
-    """Smallest transform size >= n whose only prime factors are 2, 3, 5, 7 and 11.
+    """Smallest even transform size >= n whose only prime factors are 2, 3 and 5.
 
-    These are the sizes scipy.fft.next_fast_len(n) gives by default.  n
-    must lie in [1, MAX_FFT_SIZE].
+    That is the least 2**a * 3**b * 5**c >= n with a >= 1: numpy's
+    pocketfft runs these sizes fastest, while factors of 7 and 11 cost up
+    to 30% more per real transform at the receiver's lengths.  n must lie
+    in [1, MAX_FFT_SIZE].
     """
     if not 1 <= n <= MAX_FFT_SIZE:
         raise DomainError(f"transform size must lie in [1, {MAX_FFT_SIZE}], got {n}")
-    best = 1 << (n - 1).bit_length()
-    for shift in range(best.bit_length() - 1):
+    best = max(2, 1 << (n - 1).bit_length())
+    for shift in range(1, best.bit_length() - 1):
         # the least odd part q with q << shift >= n
         i = bisect.bisect_left(_ODD_SMOOTH, -(-n >> shift))
         if i < len(_ODD_SMOOTH):
@@ -219,7 +221,7 @@ def convolve(x: SampledSignal, h: SampledSignal) -> SampledSignal:
     """Discrete convolution scaled by dt; approximates continuous convolution.
 
     Output starts at x.t0 + h.t0 and has len(x) + len(h) - 1 samples,
-    evaluated by FFT.
+    evaluated by real FFTs of size next_fast_len(len(x) + len(h) - 1).
     """
     _check_dt_match(x, h)
     n_out = len(x) + len(h) - 1
@@ -268,9 +270,11 @@ class TikhonovSolve:
     dt-scaled kernel transform H, conj(H), denom = |H|^2 + lam and lam, and
     applies them to a 1-D record or to a 2-D stack (rows x samples) with
     one rfft/irfft along the samples axis: x = irfft(Y * conj(H) / denom).
-    lam defaults to 1e-3 * max |H|^2, taken from the transform at the
-    length of the full convolution of a record with h; that length is
-    n_fft whenever n_out <= n_in, and then H itself is reused.
+    n_fft is next_fast_len(max(n_in, n_out) + len(taps) - 1), an even
+    size with no prime factor but 2, 3 and 5.  lam defaults to
+    1e-3 * max |H|^2, taken from the transform at next_fast_len of the
+    length of the full convolution of a record with h; that size is n_fft
+    whenever n_out <= n_in, and then H itself is reused.
     """
 
     def __init__(self, taps: np.ndarray, dt: float, n_in: int, n_out: int, lam: float | None = None):

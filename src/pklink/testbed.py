@@ -79,20 +79,34 @@ class PlatformTrace:
         return self.t0 + self.dt * np.arange(self.c_a.size)
 
 
-def plan_flows(k_a: float, k_e: float, V_a: float, V_b: float) -> tuple[float, float]:
-    """Pump flows that realize the given rate constants in fixed vessels."""
-    for name, value in (("k_a", k_a), ("k_e", k_e), ("V_a", V_a), ("V_b", V_b)):
+def _require_positive(names, values, what: str = "") -> None:
+    for name, value in zip(names, values):
         if not (math.isfinite(value) and value > 0):
-            raise DomainError(f"{name} must be positive and finite, got {value}")
-    return k_a * V_a, k_e * V_b
+            raise DomainError(f"{what}{name} must be positive and finite, got {value}")
+
+
+def plan_flows(k_a: float, k_e: float, V_a: float, V_b: float) -> tuple[float, float]:
+    """Pump flows that realize the given rate constants in fixed vessels.
+
+    A flow that overflows or underflows (not positive and finite) raises
+    DomainError.
+    """
+    _require_positive(("k_a", "k_e", "V_a", "V_b"), (k_a, k_e, V_a, V_b))
+    flows = k_a * V_a, k_e * V_b
+    _require_positive(("Q_a", "Q_e"), flows, "planned ")
+    return flows
 
 
 def plan_volumes(k_a: float, k_e: float, Q: float) -> tuple[float, float]:
-    """Vessel volumes that realize the given rate constants with one shared flow."""
-    for name, value in (("k_a", k_a), ("k_e", k_e), ("Q", Q)):
-        if not (math.isfinite(value) and value > 0):
-            raise DomainError(f"{name} must be positive and finite, got {value}")
-    return Q / k_a, Q / k_e
+    """Vessel volumes that realize the given rate constants with one shared flow.
+
+    A volume that overflows or underflows (not positive and finite) raises
+    DomainError.
+    """
+    _require_positive(("k_a", "k_e", "Q"), (k_a, k_e, Q))
+    volumes = Q / k_a, Q / k_e
+    _require_positive(("V_a", "V_b"), volumes, "planned ")
+    return volumes
 
 
 def simulate_platform(

@@ -180,6 +180,20 @@ def test_plan_flags_nominal_volume_inconsistency(capsys):
     assert GOLDEN_PLAN_WARNING in out
 
 
+def test_plan_warning_says_swapped_only_for_a_swapped_pair(capsys):
+    argv = ["plan", "--mode", "volumes", "--k-a", str(BENCH_K_A), "--k-e", str(BENCH_K_E), "--flow", "0.98"]
+    assert main(argv + ["--check-v-a", "1", "--check-v-b", "1"]) == 0
+    warning = capsys.readouterr().out.splitlines()[-1]
+    assert warning == (
+        "WARNING: planned volumes (V_a=299.6941896024465, V_b=649.0066225165563) disagree with "
+        "the nominal volumes (V_a=1.0, V_b=1.0) by more than 1%; the nominal pair is "
+        "inconsistent with Q = k*V."
+    )
+    # the bench pair swapped back agrees within 1%, so it reads as a swap
+    assert main(argv + ["--check-v-a", "650", "--check-v-b", "300"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == GOLDEN_PLAN_WARNING
+
+
 def test_plan_stays_quiet_when_nominals_agree(capsys):
     code = main([
         "plan", "--mode", "volumes", "--k-a", str(BENCH_K_A), "--k-e", str(BENCH_K_E),
@@ -323,6 +337,22 @@ def test_numeric_errors_exit_with_4(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: nominal V_a must be positive and finite")
         assert "Traceback" not in err
+    # planned volumes and flows that overflow are refused, not printed
+    for argv, name in (
+        (["--mode", "volumes", "--k-a", "1e-300", "--k-e", "1", "--flow", "1e308"], "V_a"),
+        (["--mode", "flows", "--k-a", "1e300", "--k-e", "1", "--v-a", "1e10", "--v-b", "1"], "Q_a"),
+    ):
+        assert main(["plan"] + argv) == 4
+        assert capsys.readouterr().err == f"error: planned {name} must be positive and finite, got inf\n"
+    # a fit whose Gauss-Newton iterate leaves no formable Jacobian
+    path = tmp_path / "lost-point.csv"
+    path.write_text(FIT_CSV_LOST_POINT)
+    argv = ["fit", "--csv", str(path), "--route", "extravascular", "--dose", str(BENCH_DOSE),
+            "--method", "least-squares"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: Jacobian cannot be formed at k_a=")
+    assert "Traceback" not in err
 
 
 def test_detection_errors_exit_with_5(capsys):
@@ -463,6 +493,11 @@ def test_one_command_parser_parses_as_the_whole_tree(argv):
         assert _parse(build_parser(argv[0]), argv) == _parse(build_parser(), argv)
 
 
+# The bench-EV fit CSV with the decimal point of one value deleted, so that
+# value reads 2.95e16: Gauss-Newton steps to k_a ~ 8e-253, k_e ~ 3e-198,
+# where (k_a - k_e)**2 underflows and the Jacobian cannot be formed.
+FIT_CSV_LOST_POINT = _bench_ev_curve_csv().replace(",0.029533654565375874\n", ",0029533654565375874\n")
+
 # Values the fuzz test gives --dt, --horizon, --seed and --lam, and plan's
 # rates, flow and volumes.  With the scenarios below no accepted grid
 # exceeds 8001 samples: each value either leaves the grid coarser than the
@@ -546,6 +581,11 @@ def fuzz_dir(tmp_path_factory):
 @example(case=(["link", "--scenario", "link-ev-noisy", "--seed", "-1"], None, None))
 @example(case=(["plan", "--mode", "volumes", "--k-a", "1e-3", "--k-e", "1e-3", "--flow", "1",
                 "--check-v-a", "0", "--check-v-b", "1"], None, None))
+@example(case=(["plan", "--mode", "volumes", "--k-a", "1e-300", "--k-e", "1", "--flow", "1e308"], None, None))
+@example(case=(["plan", "--mode", "flows", "--k-a", "1e300", "--k-e", "1", "--v-a", "1e10", "--v-b", "1"],
+               None, None))
+@example(case=(["fit", "--route", "extravascular", "--dose", str(BENCH_DOSE), "--method", "least-squares"], None,
+               FIT_CSV_LOST_POINT.encode()))
 def test_cli_fuzz_exits_cleanly(fuzz_dir, case):
     argv, scenario_text, fit_csv = case
     if scenario_text is not None:

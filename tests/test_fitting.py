@@ -455,6 +455,27 @@ def test_unfittable_data_raises_convergence_error():
         fit_least_squares(flat, PkParams(k_e=1e-6, V=1.0, k_a=2e-6))
 
 
+def test_a_jacobian_that_cannot_be_formed_raises_convergence_error():
+    # one value with its decimal point deleted (2.95e16 in place of 0.0295)
+    # drives Gauss-Newton to k_a ~ 8e-253, k_e ~ 3e-198, where
+    # (k_a - k_e)**2 underflows to zero: that Jacobian is an error, not a
+    # ZeroDivisionError
+    series = _bench_series()
+    c = series.concentrations.copy()
+    c[9] = 29533654565375874.0
+    broken = ConcentrationSeries(series.times, c, Route.EXTRAVASCULAR, BENCH_DOSE)
+    with pytest.raises(ConvergenceError, match="Jacobian cannot be formed"):
+        fit_least_squares(broken, fit_residuals(broken).params)
+    t = series.times
+    with pytest.raises(ConvergenceError, match="Jacobian cannot be formed"):
+        jacobian(Route.EXTRAVASCULAR, t, 2.55e-198, 3.5e71, 8.15e-253)
+    # a column that is zero everywhere or not finite is refused the same way
+    with pytest.raises(ConvergenceError, match="Jacobian cannot be formed"):
+        jacobian(Route.INTRAVENOUS, t, 1e3, 1.0)
+    with pytest.raises(ConvergenceError, match="Jacobian cannot be formed"):
+        jacobian(Route.INTRAVENOUS, t, 1e-3, np.inf)
+
+
 def test_stripping_rejects_non_decaying_data():
     t = np.arange(5.0) + 1.0
     rising = ConcentrationSeries(t, np.array([1.0, 2.0, 4.0, 8.0, 16.0]), Route.INTRAVENOUS, 10.0)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pklink import signals
 from pklink.channel import PkParams, Route, superpose
+from pklink.cli import run_link
 from pklink.errors import (
     ConfigurationError,
     DomainError,
@@ -29,6 +31,7 @@ from pklink.modem import (
     modulate_ook,
     passive_pill_schedule,
 )
+from pklink.scenarios import resolve_scenario
 from pklink.signals import SampledSignal, SignalRole, sample
 
 from conftest import BENCH_DOSE, BENCH_K_A, BENCH_K_E, BENCH_V, rel_max
@@ -186,6 +189,25 @@ def test_detection_without_payload_length_decodes_all_windows(bench_pk):
     assert report.payload_bits[:8] == REFERENCE_PAYLOAD
     # trailing windows past the frame carry no mass and decode as zeros
     assert all(b == 0 for b in report.payload_bits[8:])
+
+
+@pytest.mark.parametrize("name", ["link-ev", "link-iv"])
+@pytest.mark.parametrize("dt", [1.0, 5.0, 10.0, 30.0])
+def test_link_decisions_do_not_depend_on_the_transform_size(monkeypatch, name, dt):
+    # the transform size enters the Tikhonov estimate only through the
+    # aliasing of the regularized inverse; a power-of-two size in place of
+    # next_fast_len's must leave every decision and move the window sums by
+    # rounding with the automatic weight, and by little more at lam = 0
+    scenario = resolve_scenario(name).with_overrides(dt=dt)
+    dose = scenario.modulation.dose_mass
+    for lam, tol in ((None, 1e-9), (0.0, 1e-6)):
+        report = run_link(scenario, lam=lam)
+        with monkeypatch.context() as mp:
+            mp.setattr(signals, "next_fast_len", lambda n: 1 << (n - 1).bit_length())
+            pow2 = run_link(scenario, lam=lam)
+        assert pow2.decisions == report.decisions
+        assert pow2.payload_bits == report.payload_bits == scenario.payload
+        assert np.max(np.abs(np.subtract(pow2.statistics, report.statistics))) <= tol * dose
 
 
 def test_detection_grid_must_divide_the_symbol(bench_pk):

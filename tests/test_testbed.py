@@ -57,6 +57,23 @@ def test_planning_rejects_nonpositive_inputs():
         PlatformConfig(Q_a=1.0, Q_e=1.0, V_a=10.0, V_b=10.0, route="iv")
 
 
+def test_planning_rejects_plans_that_overflow_or_underflow():
+    for args, name, value in (
+        ((1e-300, 1.0, 1e308), "V_a", "inf"),
+        ((1.0, 1e-300, 1e308), "V_b", "inf"),
+        ((1e300, 1e-300, 1e-300), "V_a", "0.0"),
+    ):
+        with pytest.raises(DomainError, match=f"^planned {name} must be positive and finite, got {value}$"):
+            plan_volumes(*args)
+    for args, name, value in (
+        ((1e300, 1.0, 1e10, 1.0), "Q_a", "inf"),
+        ((1.0, 1e300, 1.0, 1e10), "Q_e", "inf"),
+        ((1e-300, 1.0, 1e-300, 1.0), "Q_a", "0.0"),
+    ):
+        with pytest.raises(DomainError, match=f"^planned {name} must be positive and finite, got {value}$"):
+            plan_flows(*args)
+
+
 def _bench_config(route):
     v_a, v_b = plan_volumes(BENCH_K_A, BENCH_K_E, BENCH_FLOW)
     return PlatformConfig(Q_a=BENCH_FLOW, Q_e=BENCH_FLOW, V_a=v_a, V_b=v_b, route=route)
