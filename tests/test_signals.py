@@ -139,6 +139,15 @@ def test_fft_convolution_matches_fftconvolve(n_x, n_h, seed):
     assert rel_max(convolve(x, h).samples, expect) < 1e-12
 
 
+def test_next_fast_len_matches_scipy():
+    # The even 2-3-5-smooth sizes >= n are twice scipy's real-transform
+    # (2-3-5-smooth) sizes >= ceil(n / 2).
+    expect = [2 * scipy.fft.next_fast_len(-(-n // 2), real=True) for n in range(1, 20001)]
+    assert [next_fast_len(n) for n in range(1, 20001)] == expect
+    with pytest.raises(DomainError):
+        next_fast_len(0)
+
+
 def _smooth_mask(lo: int, hi: int) -> np.ndarray:
     """Which of lo..hi-1 are even with no prime factor but 2, 3 and 5: each
     prime is divided out of every multiple of each of its powers."""
