@@ -244,14 +244,20 @@ def _cmd_impulse(args) -> int:
     t = np.arange(scenario.grid_size()) * scenario.dt
     columns: list[tuple[str, np.ndarray]] = []
     routes = [Route.INTRAVENOUS] + ([Route.EXTRAVASCULAR] if pk.k_a is not None else [])
-    for route in routes:
-        tag = "iv" if route is Route.INTRAVENOUS else "ev"
-        amount = impulse_response(pk, route, t, Normalization.AMOUNT)
-        conc = impulse_response(pk, route, t, Normalization.CONCENTRATION)
-        peak = impulse_response(pk, route, peak_time(pk, route), Normalization.CONCENTRATION)
-        columns.append((f"{tag}_amount", amount))
-        columns.append((f"{tag}_conc", conc))
-        columns.append((f"{tag}_norm", conc / peak))
+    # rates that overflow on the grid are refused below, not warned about
+    with np.errstate(all="ignore"):
+        for route in routes:
+            tag = "iv" if route is Route.INTRAVENOUS else "ev"
+            amount = impulse_response(pk, route, t, Normalization.AMOUNT)
+            conc = impulse_response(pk, route, t, Normalization.CONCENTRATION)
+            peak = impulse_response(pk, route, peak_time(pk, route), Normalization.CONCENTRATION)
+            columns.append((f"{tag}_amount", amount))
+            columns.append((f"{tag}_conc", conc))
+            columns.append((f"{tag}_norm", conc / peak))
+    for name, values in columns:
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise DomainError(f"impulse column {name} is not finite at t={_fmt(t[bad[0]])}")
     with _output(args.out) as fh:
         _write_rows(fh, ["t"] + [name for name, _ in columns], [t] + [values for _, values in columns])
     return 0

@@ -16,7 +16,7 @@ import contextlib
 import math
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import yaml
 
@@ -46,11 +46,16 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """
 
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
-    list("-+.0123456789"),
-)
+class _Dumper(yaml.SafeDumper):
+    """Safe dumper that quotes every string _Loader would read as a float."""
+
+
+for _resolving in (_Loader, _Dumper):
+    _resolving.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+        list("-+.0123456789"),
+    )
 
 
 @contextlib.contextmanager
@@ -66,6 +71,54 @@ def _field_errors(key: str):
         raise
     except PkLinkError as exc:
         raise UsageError(f"scenario field {key}: {exc}") from exc
+
+
+def number(mapping: dict, path: str, default=None) -> float:
+    """The finite number under the last key of path; default if the key is absent."""
+    value = mapping.get(path.split(".")[-1], default)
+    if value is None:
+        raise UsageError(f"scenario field {path}: missing")
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise UsageError(f"scenario field {path}: must be a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise UsageError(f"scenario field {path}: must be finite, got {value!r}")
+    return out
+
+
+def _refuse_unknown(mapping: dict, prefix: str, known) -> None:
+    for key in mapping:
+        if key not in known:
+            raise UsageError(f"scenario field {prefix}{key}: unknown")
+
+
+def _read_fields(cls, mapping: dict, path: str, **given):
+    """cls built from mapping, which holds each field of cls not given by name.
+
+    A field whose default is None may be absent or null; any other default
+    fills in only for an absent key; a field without a default is required.
+    """
+    values = dict(given)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        if f.default is None and mapping.get(f.name) is None:
+            values[f.name] = None
+        else:
+            default = None if f.default is MISSING else f.default
+            values[f.name] = number(mapping, f"{path}.{f.name}", default)
+    _refuse_unknown(mapping, f"{path}.", values.keys() - given.keys())
+    with _field_errors(path):
+        return cls(**values)
+
+
+def _write_fields(obj) -> dict:
+    """The fields of obj in declaration order, without route and None values."""
+    pairs = ((f.name, getattr(obj, f.name)) for f in fields(obj))
+    return {name: value for name, value in pairs if name != "route" and value is not None}
 
 
 @dataclass(frozen=True)
@@ -123,6 +176,8 @@ class Scenario:
             raise UsageError("scenario needs either a doses section or a modulation section")
         if self.modulation is not None and self.payload is None:
             raise UsageError("scenario field payload: required when modulation is present")
+        if self.payload is not None and not self.payload:
+            raise UsageError("scenario field payload: must hold at least one bit")
         nominal = self.nominal_volumes
         if nominal is not None and not all(math.isfinite(v) and v > 0 for v in nominal):
             raise UsageError(f"scenario field nominal_volumes: must be positive and finite, got {list(nominal)}")
@@ -154,43 +209,25 @@ class Scenario:
             "name": self.name,
             "description": self.description,
             "route": self.route.value,
-            "pk": {"k_e": self.pk.k_e, "V": self.pk.V, "F": self.pk.F},
+            "pk": _write_fields(self.pk),
             "grid": {"dt": self.dt, "horizon": self.horizon},
-            "noise": {
-                "sigma": self.noise.sigma,
-                "spike_prob": self.noise.spike_prob,
-                "spike_scale": self.noise.spike_scale,
-            },
+            "noise": _write_fields(self.noise),
             "seed": self.seed,
         }
-        if self.pk.k_a is not None:
-            doc["pk"]["k_a"] = self.pk.k_a
         if self.platform is not None:
-            doc["platform"] = {
-                "Q_a": self.platform.Q_a,
-                "Q_e": self.platform.Q_e,
-                "V_a": self.platform.V_a,
-                "V_b": self.platform.V_b,
-            }
+            doc["platform"] = _write_fields(self.platform)
         if self.nominal_volumes is not None:
             doc["nominal_volumes"] = list(self.nominal_volumes)
         if self.doses is not None:
-            doc["doses"] = [
-                {"time": e.time, "mass": e.mass, "duration": e.duration} for e in self.doses
-            ]
+            doc["doses"] = [_write_fields(event) for event in self.doses]
         if self.modulation is not None:
-            doc["modulation"] = {
-                "symbol_period": self.modulation.symbol_period,
-                "dose_mass": self.modulation.dose_mass,
-            }
-            if self.modulation.pump_rate is not None:
-                doc["modulation"]["pump_rate"] = self.modulation.pump_rate
+            doc["modulation"] = _write_fields(self.modulation)
         if self.payload is not None:
             doc["payload"] = "".join(str(b) for b in self.payload)
         return doc
 
     def to_text(self) -> str:
-        return yaml.safe_dump(self.to_mapping(), sort_keys=False, default_flow_style=False)
+        return yaml.dump(self.to_mapping(), Dumper=_Dumper, sort_keys=False, default_flow_style=False)
 
     def save(self, path):
         with open(path, "w", newline="") as fh:
@@ -200,6 +237,7 @@ class Scenario:
     def from_mapping(cls, doc: dict) -> "Scenario":
         if not isinstance(doc, dict):
             raise UsageError("scenario document must be a mapping")
+        _refuse_unknown(doc, "", _TOP_LEVEL_KEYS)
 
         def section(key, required=False) -> dict:
             value = doc.get(key)
@@ -210,20 +248,6 @@ class Scenario:
             if not isinstance(value, dict):
                 raise UsageError(f"scenario field {key}: must be a mapping")
             return value
-
-        def number(mapping, path, default=None):
-            value = mapping.get(path.split(".")[-1], default)
-            if value is None:
-                raise UsageError(f"scenario field {path}: missing")
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise UsageError(f"scenario field {path}: must be a number, got {value!r}")
-            try:
-                out = float(value)
-            except OverflowError:
-                out = math.inf
-            if not math.isfinite(out):
-                raise UsageError(f"scenario field {path}: must be finite, got {value!r}")
-            return out
 
         name = doc.get("name")
         if not isinstance(name, str) or not name:
@@ -236,27 +260,12 @@ class Scenario:
                 f"scenario field route: must be one of {[r.value for r in Route]}, got {route_text!r}"
             ) from None
 
-        pk_doc = section("pk", required=True)
-        with _field_errors("pk"):
-            pk = PkParams(
-                k_e=number(pk_doc, "pk.k_e"),
-                V=number(pk_doc, "pk.V"),
-                k_a=None if pk_doc.get("k_a") is None else number(pk_doc, "pk.k_a"),
-                F=number(pk_doc, "pk.F", 1.0),
-            )
-
+        pk = _read_fields(PkParams, section("pk", required=True), "pk")
         grid = section("grid", required=True)
+        _refuse_unknown(grid, "grid.", _GRID_KEYS)
         platform = None
         if "platform" in doc:
-            plat = section("platform")
-            with _field_errors("platform"):
-                platform = PlatformConfig(
-                    Q_a=number(plat, "platform.Q_a"),
-                    Q_e=number(plat, "platform.Q_e"),
-                    V_a=number(plat, "platform.V_a"),
-                    V_b=number(plat, "platform.V_b"),
-                    route=route,
-                )
+            platform = _read_fields(PlatformConfig, section("platform"), "platform", route=route)
 
         nominal = None
         if "nominal_volumes" in doc:
@@ -275,27 +284,12 @@ class Scenario:
             for i, entry in enumerate(raw_doses):
                 if not isinstance(entry, dict):
                     raise UsageError(f"scenario field doses[{i}]: must be a mapping")
-                with _field_errors(f"doses[{i}]"):
-                    events.append(
-                        DoseEvent(
-                            time=number(entry, f"doses[{i}].time"),
-                            mass=number(entry, f"doses[{i}].mass"),
-                            duration=number(entry, f"doses[{i}].duration", 0.0),
-                        )
-                    )
+                events.append(_read_fields(DoseEvent, entry, f"doses[{i}]"))
             doses = DoseSchedule(events=tuple(events))
 
         modulation = None
         if "modulation" in doc:
-            mod = section("modulation")
-            pump = mod.get("pump_rate")
-            with _field_errors("modulation"):
-                modulation = ModulationConfig(
-                    symbol_period=number(mod, "modulation.symbol_period"),
-                    dose_mass=number(mod, "modulation.dose_mass"),
-                    route=route,
-                    pump_rate=None if pump is None else number(mod, "modulation.pump_rate"),
-                )
+            modulation = _read_fields(ModulationConfig, section("modulation"), "modulation", route=route)
 
         payload = None
         if "payload" in doc:
@@ -311,36 +305,27 @@ class Scenario:
             else:
                 raise UsageError("scenario field payload: must be a bit string or list")
 
-        noise_doc = section("noise")
-        with _field_errors("noise"):
-            noise = NoiseConfig(
-                sigma=number(noise_doc, "noise.sigma", 0.0),
-                spike_prob=number(noise_doc, "noise.spike_prob", 0.0),
-                spike_scale=number(noise_doc, "noise.spike_scale", 0.0),
-            )
+        noise = _read_fields(NoiseConfig, section("noise"), "noise")
 
         seed = doc.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise UsageError(f"scenario field seed: must be an integer, got {seed!r}")
 
-        try:
-            return cls(
-                name=name,
-                description=str(doc.get("description", "")),
-                route=route,
-                pk=pk,
-                dt=number(grid, "grid.dt"),
-                horizon=number(grid, "grid.horizon"),
-                platform=platform,
-                doses=doses,
-                modulation=modulation,
-                payload=payload,
-                noise=noise,
-                seed=seed,
-                nominal_volumes=nominal,
-            )
-        except PkLinkError as exc:
-            raise UsageError(str(exc)) from exc
+        return cls(
+            name=name,
+            description=str(doc.get("description", "")),
+            route=route,
+            pk=pk,
+            dt=number(grid, "grid.dt"),
+            horizon=number(grid, "grid.horizon"),
+            platform=platform,
+            doses=doses,
+            modulation=modulation,
+            payload=payload,
+            noise=noise,
+            seed=seed,
+            nominal_volumes=nominal,
+        )
 
     @classmethod
     def from_text(cls, text: str) -> "Scenario":
@@ -362,6 +347,11 @@ class Scenario:
         except UnicodeDecodeError as exc:
             raise UsageError(f"cannot decode scenario file {path}: {exc}") from exc
         return cls.from_text(text)
+
+
+# Keys of the grid section, and of the document itself.
+_GRID_KEYS = ("dt", "horizon")
+_TOP_LEVEL_KEYS = {f.name for f in fields(Scenario) if f.name not in _GRID_KEYS} | {"grid"}
 
 
 def _bench_pk() -> tuple[PkParams, PlatformConfig, tuple[float, float]]:

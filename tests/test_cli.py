@@ -235,12 +235,18 @@ def test_usage_errors_exit_with_2(tmp_path, capsys):
     noisy.write_text(resolve_scenario("link-ev").to_text().replace("sigma: 0.0\n", "sigma: 0.01\n"))
     negative_seed = tmp_path / "negative-seed.yaml"
     negative_seed.write_text(noisy.read_text().replace("seed: 6\n", "seed: -3\n"))
+    empty_payload = tmp_path / "empty-payload.yaml"
+    empty_payload.write_text(resolve_scenario("link-ev").to_text().replace("payload: '01010011'", "payload: []"))
+    misspelt = tmp_path / "misspelt.yaml"
+    misspelt.write_text(resolve_scenario("link-ev").to_text().replace("k_a:", "ka:"))
     for argv, field in (
         (["simulate", "--scenario", "bench-iv", "--horizon", "1e308"], "grid"),
         (["link", "--scenario", "link-ev", "--dt", "1e-300"], "grid"),
         (["simulate", "--scenario", str(fine_grid), "--horizon", "8000"], "grid"),
         (["link", "--scenario", str(noisy), "--seed", "-2"], "seed"),
         (["link", "--scenario", str(negative_seed)], "seed"),
+        (["link", "--scenario", str(empty_payload)], "payload: "),
+        (["link", "--scenario", str(misspelt)], "pk.ka: unknown"),
     ) + tuple(
         (["plan", "--mode", "volumes", "--scenario", str(_nominal_file(tmp_path, value))], "nominal_volumes")
         for value in ("0", "-1", ".nan")
@@ -353,6 +359,14 @@ def test_numeric_errors_exit_with_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: Jacobian cannot be formed at k_a=")
     assert "Traceback" not in err
+    # an elimination rate that overflows on the grid leaves a non-finite
+    # column, refused before the output file is opened
+    scenario = tmp_path / "overflow.yaml"
+    scenario.write_text(resolve_scenario("bench-ev").to_text().replace("k_e: 0.00151", "k_e: 1.0e+308"))
+    out = tmp_path / "impulse.csv"
+    assert main(["impulse", "--scenario", str(scenario), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "error: impulse column ev_norm is not finite at t=0.0\n"
+    assert not out.exists()
 
 
 def test_detection_errors_exit_with_5(capsys):

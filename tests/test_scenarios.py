@@ -1,12 +1,16 @@
 """Scenario catalogue and the YAML file format."""
 
 import os
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pklink.channel import DoseEvent, Route
+from pklink.channel import DoseEvent, DoseSchedule, PkParams, Route
 from pklink.errors import UsageError
-from pklink.modem import modulate_ook, frame
+from pklink.modem import ModulationConfig, modulate_ook, frame
+from pklink.testbed import PlatformConfig
 from pklink.scenarios import (
     SCENARIO_DIR_ENV,
     NoiseConfig,
@@ -102,6 +106,12 @@ def test_payload_accepts_string_or_list():
     assert s1.payload == s2.payload == (0, 1, 1, 0)
     with pytest.raises(UsageError, match="payload"):
         Scenario.from_mapping(dict(base, payload="012"))
+    # an empty payload is refused in each form, and by the constructor
+    for empty in ("", []):
+        with pytest.raises(UsageError, match="^scenario field payload: "):
+            Scenario.from_mapping(dict(base, payload=empty))
+    with pytest.raises(UsageError, match="^scenario field payload: must hold at least one bit$"):
+        replace(resolve_scenario("link-ev"), payload=())
 
 
 def test_overrides_and_grid_size():
@@ -200,3 +210,85 @@ def test_field_errors_name_their_field_once():
     # errors of the parameter classes themselves still get the section's name
     with pytest.raises(UsageError, match="^scenario field pk: "):
         Scenario.from_text(text.replace("k_e: 0.00151", "k_e: -1.0"))
+    # a key that names no field is refused with its path, in every section
+    bench = resolve_scenario("bench-ev").to_text()
+    cases = (
+        ("  k_a: 0.00327\n", "  ka: 0.00327\n", "pk.ka"),
+        ("  sigma: 0.0\n", "  sigmaa: 0.0\n", "noise.sigmaa"),
+        ("seed: 4\n", "seed: 4\nmodulaton: 1\n", "modulaton"),
+        ("  horizon: 8000.0\n", "  horizon: 8000.0\n  seed: 1\n", "grid.seed"),
+        ("  Q_a: 0.98\n", "  Q_a: 0.98\n  route: intravenous\n", "platform.route"),
+        ("  duration: 30.0\n", "  duration: 30.0\n  rate: 1.0\n", "doses[0].rate"),
+    )
+    for old, new, path in cases:
+        assert old in bench
+        with pytest.raises(UsageError) as caught:
+            Scenario.from_text(bench.replace(old, new))
+        assert str(caught.value) == f"scenario field {path}: unknown"
+    with pytest.raises(UsageError) as caught:
+        Scenario.from_text(text.replace("  pump_rate: 1.3\n", "  pump_rate: 1.3\n  route: intravenous\n"))
+    assert str(caught.value) == "scenario field modulation.route: unknown"
+
+
+_positive = st.floats(min_value=1e-6, max_value=1e6)
+# any text, or one spelled as a YAML 1.2 float without a dot, which the
+# writer must quote for the reader to keep it a string
+_names = st.text(st.characters(codec="utf-8", exclude_categories=("Cs",)), min_size=1, max_size=12) | st.from_regex(
+    r"[-+]?[0-9]{1,3}[eE][-+]?[0-9]{1,2}", fullmatch=True
+)
+
+
+@st.composite
+def _scenarios(draw) -> Scenario:
+    route = draw(st.sampled_from(list(Route)))
+    pk = PkParams(
+        k_e=draw(_positive),
+        V=draw(_positive),
+        k_a=draw(st.none() | _positive),
+        F=draw(st.floats(min_value=1e-3, max_value=1.0)),
+    )
+    dt = draw(st.floats(min_value=1e-3, max_value=100.0))
+    platform = draw(st.none() | st.builds(
+        PlatformConfig, Q_a=_positive, Q_e=_positive, V_a=_positive, V_b=_positive, route=st.just(route)
+    ))
+    doses = modulation = payload = None
+    if draw(st.booleans()):
+        doses = DoseSchedule(events=tuple(draw(st.lists(st.builds(
+            DoseEvent,
+            time=st.floats(min_value=0.0, max_value=1e6),
+            mass=st.floats(min_value=0.0, max_value=1e6),
+            duration=st.floats(min_value=0.0, max_value=1e3),
+        ), max_size=3))))
+    else:
+        symbol_period = draw(st.floats(min_value=1.0, max_value=1e4))
+        dose_mass = draw(_positive)
+        pump_rate = draw(st.none() | st.floats(min_value=1.01, max_value=100.0).map(
+            lambda factor: dose_mass / symbol_period * factor
+        ))
+        modulation = ModulationConfig(symbol_period, dose_mass, route, pump_rate)
+        payload = tuple(draw(st.lists(st.integers(0, 1), min_size=1, max_size=16)))
+    return Scenario(
+        name=draw(_names),
+        description=draw(st.just("") | _names),
+        route=route,
+        pk=pk,
+        dt=dt,
+        horizon=dt * draw(st.floats(min_value=1.5, max_value=1e6)),
+        platform=platform,
+        doses=doses,
+        modulation=modulation,
+        payload=payload,
+        noise=NoiseConfig(
+            sigma=draw(st.floats(min_value=0.0, max_value=10.0)),
+            spike_prob=draw(st.floats(min_value=0.0, max_value=1.0)),
+            spike_scale=draw(st.floats(min_value=0.0, max_value=10.0)),
+        ),
+        seed=draw(st.integers(min_value=0, max_value=2**64)),
+        nominal_volumes=draw(st.none() | st.tuples(_positive, _positive)),
+    )
+
+
+@given(scenario=_scenarios())
+@settings(max_examples=200, deadline=None)
+def test_generated_scenarios_round_trip_through_yaml(scenario):
+    assert Scenario.from_text(scenario.to_text()) == scenario

@@ -234,6 +234,30 @@ def test_frequency_deconvolution_round_trip(bench_pk):
     assert rel_max(back.samples, x.samples) < 1e-9
 
 
+@given(
+    k_e_dt=st.floats(min_value=1e-4, max_value=0.1),
+    k_a_dt=st.floats(min_value=1e-4, max_value=0.1),  # flip-flop when below k_e_dt
+    # a ratio k_a / k_e at and on either side of the confluent tolerance,
+    # used in place of k_a_dt when drawn
+    ratio=st.one_of(st.none(), st.sampled_from([1.0, 1.0 + 1e-9, 1.0 - 1e-9])),
+    dt=st.sampled_from([0.5, 1.0, 6.0, 30.0]),
+    route=st.sampled_from(list(Route)),
+    n_h=st.integers(min_value=2, max_value=4000),
+    n_x=st.integers(min_value=1, max_value=500),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_lam_zero_deconvolution_inverts_any_sampled_kernel(k_e_dt, k_a_dt, ratio, dt, route, n_h, n_x, seed):
+    k_e = k_e_dt / dt
+    k_a = k_a_dt / dt if ratio is None else k_e * ratio
+    pk = PkParams(k_e=k_e, V=100.0, k_a=None if route is Route.INTRAVENOUS else k_a)
+    h = sampled_kernel(pk, route, dt, n_h)
+    x = SampledSignal(0.0, dt, np.random.default_rng(seed).random(n_x) * 2.0, SignalRole.MASS_RATE)
+    back = deconvolve(convolve(x, h), h, lam=0.0)
+    assert len(back) == n_x
+    assert rel_max(back.samples, x.samples) < 1e-6
+
+
 def test_deconvolve_argument_validation(bench_pk):
     h = _plain_iv_kernel(bench_pk, 2.0, 50)
     y = SampledSignal(0.0, 2.0, np.ones(10), SignalRole.CONCENTRATION)
