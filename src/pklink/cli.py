@@ -322,6 +322,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    unread = ("flow", "check_v_a", "check_v_b") if args.mode == "flows" else ("v_a", "v_b")
+    for dest in unread:
+        if getattr(args, dest) is not None:
+            raise UsageError(f"--{dest.replace('_', '-')} is not read by plan --mode {args.mode}")
     k_a, k_e, flow = args.k_a, args.k_e, args.flow
     volumes = None
     if args.v_a is not None and args.v_b is not None:

@@ -307,7 +307,7 @@ class Receiver:
         self.window = symbol_samples(config, dt)
         self.n_windows = n // self.window
         kernel = sampled_kernel(params, config.route, dt, n)
-        self.solve = TikhonovSolve(kernel.samples, dt, n, n, lam)
+        self.solve = TikhonovSolve(kernel.samples, dt, n, lam)
         self.threshold = THRESHOLD_FRACTION * config.dose_mass
 
     @cached_property

@@ -310,10 +310,13 @@ class Scenario:
         seed = doc.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise UsageError(f"scenario field seed: must be an integer, got {seed!r}")
+        description = doc.get("description", "")
+        if not isinstance(description, str):
+            raise UsageError(f"scenario field description: must be a string, got {description!r}")
 
         return cls(
             name=name,
-            description=str(doc.get("description", "")),
+            description=description,
             route=route,
             pk=pk,
             dt=number(grid, "grid.dt"),
@@ -354,7 +357,7 @@ _GRID_KEYS = ("dt", "horizon")
 _TOP_LEVEL_KEYS = {f.name for f in fields(Scenario) if f.name not in _GRID_KEYS} | {"grid"}
 
 
-def _bench_pk() -> tuple[PkParams, PlatformConfig, tuple[float, float]]:
+def _bench_pk() -> tuple[PkParams, tuple[float, float], float]:
     k_a, k_e, flow = 3.27e-3, 1.51e-3, 9.8e-1
     v_a, v_b = plan_volumes(k_a, k_e, flow)
     pk = PkParams(k_e=k_e, V=v_b, k_a=k_a, F=1.0)

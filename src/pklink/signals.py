@@ -8,7 +8,6 @@ keeps amplitudes in physical units across the transmit/receive chain.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -175,27 +174,9 @@ def _combine_roles(a: SignalRole, b: SignalRole) -> SignalRole:
     return SignalRole.CONCENTRATION
 
 
-def _odd_smooth(limit: int) -> list[int]:
-    """The odd numbers <= limit whose only prime factors are 3 and 5, sorted."""
-    odd = [1]
-    for prime in (3, 5):
-        grown = []
-        for q in odd:
-            while q <= limit:
-                grown.append(q)
-                q *= prime
-        odd = grown
-    return sorted(odd)
-
-
 # Largest transform size next_fast_len answers: the full linear convolution
 # of two grids of scenarios.MAX_GRID_SAMPLES samples fits below it.
 MAX_FFT_SIZE = 2**28
-
-# The 122 odd parts of the sizes up to MAX_FFT_SIZE, built once at import.
-# Built with numpy's outer product and sort instead, the table raised a
-# run's peak RSS by about 0.4 MB: code pages that no other call touches.
-_ODD_SMOOTH = _odd_smooth(MAX_FFT_SIZE)
 
 
 def next_fast_len(n: int) -> int:
@@ -209,11 +190,15 @@ def next_fast_len(n: int) -> int:
     if not 1 <= n <= MAX_FFT_SIZE:
         raise DomainError(f"transform size must lie in [1, {MAX_FFT_SIZE}], got {n}")
     best = max(2, 1 << (n - 1).bit_length())
-    for shift in range(1, best.bit_length() - 1):
-        # the least odd part q with q << shift >= n
-        i = bisect.bisect_left(_ODD_SMOOTH, -(-n >> shift))
-        if i < len(_ODD_SMOOTH):
-            best = min(best, _ODD_SMOOTH[i] << shift)
+    # each odd part q = 3**b * 5**c below best, doubled the fewest times
+    # (at least once) that reach n
+    p3 = 1
+    while p3 < best:
+        q = p3
+        while q < best:
+            best = min(best, q << max(1, (-(-n // q) - 1).bit_length()))
+            q *= 5
+        p3 *= 3
     return best
 
 
@@ -248,8 +233,9 @@ def deconvolve(
     Solves the Tikhonov-regularized least-squares problem in the Fourier
     domain (TikhonovSolve); lam defaults to 1e-3 * max |H|^2 where H is the
     dt-scaled transform of h, and lam = 0 gives exact recovery of full
-    noiseless convolutions.  method must be "frequency", the only one;
-    any other value raises DomainError.
+    noiseless convolutions.  The output holds output_length samples
+    (default len(y) - len(h) + 1), at most len(y).  method must be
+    "frequency", the only one; any other value raises DomainError.
     """
     if method != "frequency":
         raise DomainError(f"unknown deconvolution method {method!r}")
@@ -258,38 +244,32 @@ def deconvolve(
     n_out = default_len if output_length is None else int(output_length)
     if n_out < 1:
         raise ConfigurationError("deconvolution output would be empty (kernel longer than signal)")
-    x_hat = TikhonovSolve(h.samples, y.dt, len(y), n_out, lam).apply(y.samples)
+    if n_out > len(y):
+        raise ConfigurationError(f"deconvolution output of {n_out} samples exceeds the {len(y)}-sample record")
+    x_hat = TikhonovSolve(h.samples, y.dt, len(y), lam).apply(y.samples)[:n_out]
     return SampledSignal(t0=y.t0 - h.t0, dt=y.dt, samples=x_hat, role=SignalRole.MASS_RATE)
 
 
 class TikhonovSolve:
     """Tikhonov-regularized frequency-domain inverse of one kernel.
 
-    Built once for kernel taps h (sample step dt), records of n_in samples
-    and n_out recovered samples, it holds the transform size n_fft, the
-    dt-scaled kernel transform H, conj(H), denom = |H|^2 + lam and lam, and
-    applies them to a 1-D record or to a 2-D stack (rows x samples) with
-    one rfft/irfft along the samples axis: x = irfft(Y * conj(H) / denom).
-    n_fft is next_fast_len(max(n_in, n_out) + len(taps) - 1), an even
-    size with no prime factor but 2, 3 and 5.  lam defaults to
-    1e-3 * max |H|^2, taken from the transform at next_fast_len of the
-    length of the full convolution of a record with h; that size is n_fft
-    whenever n_out <= n_in, and then H itself is reused.
+    Built once for kernel taps h (sample step dt) and records of n samples,
+    it holds the transform size n_fft = next_fast_len(n + len(taps) - 1),
+    the dt-scaled kernel transform H, conj(H), denom = |H|^2 + lam and lam,
+    and applies them to a 1-D record or to a 2-D stack (rows x samples)
+    with one rfft/irfft along the samples axis: x = irfft(Y * conj(H) /
+    denom), n samples per record.  lam defaults to 1e-3 * max |H|^2.
     """
 
-    def __init__(self, taps: np.ndarray, dt: float, n_in: int, n_out: int, lam: float | None = None):
+    def __init__(self, taps: np.ndarray, dt: float, n: int, lam: float | None = None):
         if not np.any(taps):
             raise IllConditionedError("kernel is identically zero")
-        m = len(taps)
-        n_probe = next_fast_len(n_in + m - 1)
-        self.n_fft = n_probe if n_out <= n_in else next_fast_len(n_out + m - 1)
-        self.n_in = n_in
-        self.n_out = n_out
+        self.n = n
+        self.n_fft = next_fast_len(n + len(taps) - 1)
         self.H = np.fft.rfft(taps, self.n_fft) * dt
         power = np.abs(self.H) ** 2
         if lam is None:
-            probe = power if n_probe == self.n_fft else np.abs(np.fft.rfft(taps, n_probe) * dt) ** 2
-            lam = 1e-3 * float(np.max(probe))
+            lam = 1e-3 * float(np.max(power))
         if not lam >= 0:
             raise DomainError(f"regularization weight must be >= 0, got {lam}")
         self.lam = lam
@@ -299,17 +279,17 @@ class TikhonovSolve:
             raise IllConditionedError("kernel transform vanishes and no regularization was given")
 
     def apply(self, samples: np.ndarray) -> np.ndarray:
-        """Recovered input of each record along the last axis (n_in -> n_out samples)."""
-        if samples.shape[-1] != self.n_in:
-            raise ConfigurationError(f"records have {samples.shape[-1]} samples, the solve expects {self.n_in}")
+        """Recovered input of each record along the last axis, n samples each."""
+        if samples.shape[-1] != self.n:
+            raise ConfigurationError(f"records have {samples.shape[-1]} samples, the solve expects {self.n}")
         Y = np.fft.rfft(samples, self.n_fft, axis=-1)
-        return np.fft.irfft(Y * self.H_conj / self.denom, self.n_fft, axis=-1)[..., : self.n_out]
+        return np.fft.irfft(Y * self.H_conj / self.denom, self.n_fft, axis=-1)[..., : self.n]
 
     def window_map(self, window: int, n_windows: int) -> np.ndarray:
-        """The n_in x n_windows matrix M with records @ M the window sums of apply(records).
+        """The n x n_windows matrix M with records @ M the window sums of apply(records).
 
         Column k sums recovered samples k*window to (k+1)*window - 1, which
-        must lie below n_out.  apply is a circular convolution with
+        must lie below n.  apply is a circular convolution with
         g = irfft(conj(H) / denom), so recovered sample i takes record
         sample j with weight g[(i - j) mod n_fft], and a window sum takes
         it with s[(k*window - j) mod n_fft], s[l] = g[l] + ... +
@@ -317,16 +297,16 @@ class TikhonovSolve:
         transform times the conjugate transform of a box of window ones: a
         running sum of g would cancel badly where lam is 0 and g is large.
         """
-        if window * n_windows > self.n_out:
+        if window * n_windows > self.n:
             raise ConfigurationError(
-                f"{n_windows} windows of {window} samples exceed the {self.n_out} recovered samples"
+                f"{n_windows} windows of {window} samples exceed the {self.n} recovered samples"
             )
         box = np.fft.rfft(np.ones(window), self.n_fft)
         s = np.fft.irfft(self.H_conj / self.denom * np.conj(box), self.n_fft)
-        # r lists s at lags 1 - n_in ... n_windows * window, so column k,
-        # lags k*window - j for j = 0 ... n_in - 1, is a reversed run of r
-        r = s[np.arange(1 - self.n_in, window * n_windows + 1) % self.n_fft]
-        runs = np.lib.stride_tricks.sliding_window_view(r, self.n_in)[: window * n_windows : window]
+        # r lists s at lags 1 - n ... n_windows * window, so column k,
+        # lags k*window - j for j = 0 ... n - 1, is a reversed run of r
+        r = s[np.arange(1 - self.n, window * n_windows + 1) % self.n_fft]
+        runs = np.lib.stride_tricks.sliding_window_view(r, self.n)[: window * n_windows : window]
         return runs[:, ::-1].T.copy()
 
 

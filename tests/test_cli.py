@@ -261,6 +261,21 @@ def test_usage_errors_exit_with_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: cannot open output file")
         assert "Traceback" not in err
+    # a plan flag the mode does not read is refused, by name; a scenario's
+    # flow, volumes and nominal pair are defaults and never refused
+    flows = ["plan", "--mode", "flows", "--k-a", "2.89e-4", "--k-e", "4.47e-5", "--v-a", "300", "--v-b", "650"]
+    volumes = ["plan", "--mode", "volumes", "--k-a", "2.89e-4", "--k-e", "4.47e-5", "--flow", "1"]
+    for argv, flag, mode in (
+        (flows + ["--check-v-a", "1", "--check-v-b", "2"], "--check-v-a", "flows"),
+        (flows + ["--check-v-b", "2"], "--check-v-b", "flows"),
+        (flows + ["--flow", "5"], "--flow", "flows"),
+        (volumes + ["--v-a", "300", "--v-b", "650"], "--v-a", "volumes"),
+        (volumes + ["--v-b", "650"], "--v-b", "volumes"),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {flag} is not read by plan --mode {mode}\n"
+    assert main(["plan", "--mode", "flows", "--scenario", "bench-iv"]) == 0
+    capsys.readouterr()
     for check in (["--check-v-a", "300"], ["--check-v-b", "300"]):  # half a pair
         assert main(["plan", "--mode", "volumes", "--k-a", "1e-3", "--k-e", "1e-3", "--flow", "1"] + check) == 2
         err = capsys.readouterr().err

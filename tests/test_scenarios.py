@@ -228,6 +228,15 @@ def test_field_errors_name_their_field_once():
     with pytest.raises(UsageError) as caught:
         Scenario.from_text(text.replace("  pump_rate: 1.3\n", "  pump_rate: 1.3\n  route: intravenous\n"))
     assert str(caught.value) == "scenario field modulation.route: unknown"
+    # a description is a string or absent; any other value, null too, is refused
+    line = "description: bench one-shot 130 mg dose, extravascular route, minute-scale kinetics\n"
+    assert line in bench
+    for value, shown in (("{a: 1}", "{'a': 1}"), ("~", "None"), ("12", "12"), ("true", "True")):
+        with pytest.raises(UsageError) as caught:
+            Scenario.from_text(bench.replace(line, f"description: {value}\n"))
+        assert str(caught.value) == f"scenario field description: must be a string, got {shown}"
+    assert Scenario.from_text(bench.replace(line, "")).description == ""
+    assert Scenario.from_text(bench.replace(line, "description: '12'\n")).description == "12"
 
 
 _positive = st.floats(min_value=1e-6, max_value=1e6)

@@ -42,7 +42,7 @@ from pklink.signals import (
     spectrum,
 )
 
-from conftest import BENCH_DOSE, rel_max
+from conftest import BENCH_DOSE, BENCH_K_A, BENCH_K_E, BENCH_V, rel_max
 
 
 def _plain_iv_kernel(pk, dt, n):
@@ -270,6 +270,8 @@ def test_deconvolve_argument_validation(bench_pk):
     zero = SampledSignal(0.0, 2.0, np.zeros(10), SignalRole.CONCENTRATION)
     with pytest.raises(IllConditionedError):
         deconvolve(y, zero)
+    with pytest.raises(ConfigurationError):
+        deconvolve(y, h, output_length=len(y) + 1)  # longer than the record
 
 
 def test_deconvolve_output_length_and_origin(bench_pk):
@@ -285,51 +287,75 @@ def test_deconvolve_output_length_and_origin(bench_pk):
 
 
 def test_default_weight_is_a_thousandth_of_the_peak_kernel_power(bench_pk):
-    # lam=None must equal the explicit 1e-3 * max |H|^2 bit for bit, whether
-    # the solve reuses its own kernel transform (probe length = n_fft) or,
-    # for an output longer than the record, transforms at the probe length
+    # lam=None must equal the explicit 1e-3 * max |H|^2 bit for bit, with H
+    # the kernel transform at the solve's own size; an output longer than
+    # the record is refused
     rng = np.random.default_rng(5)
     dt = 6.0
     for n, m, n_out in ((1984, 1984, 1984), (3001, 400, None), (500, 100, 900)):
         h = sampled_kernel(bench_pk, Route.EXTRAVASCULAR, dt, m)
         y = SampledSignal(0.0, dt, rng.random(n), SignalRole.CONCENTRATION)
-        n_probe = next_fast_len(n + m - 1)
-        lam = 1e-3 * float(np.max(np.abs(scipy.fft.rfft(h.samples, n_probe) * dt) ** 2))
+        if n_out is not None and n_out > n:
+            with pytest.raises(ConfigurationError):
+                deconvolve(y, h, output_length=n_out)
+            continue
+        n_fft = next_fast_len(n + m - 1)
+        lam = 1e-3 * float(np.max(np.abs(scipy.fft.rfft(h.samples, n_fft) * dt) ** 2))
         default = deconvolve(y, h, output_length=n_out)
         explicit = deconvolve(y, h, lam=lam, output_length=n_out)
         assert np.array_equal(default.samples, explicit.samples)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    route=st.sampled_from(list(Route)),
+    lam=st.sampled_from([None, 0.0]),
+    dt=st.sampled_from([1.0, 6.0, 30.0]),
+    n_y=st.integers(min_value=1, max_value=300),
+    n_h=st.integers(min_value=2, max_value=400),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_deconvolution_output_is_a_prefix_of_the_full_record(route, lam, dt, n_y, n_h, seed):
+    # every output length up to the record reads the same solve: its first
+    # output_length samples, bit for bit
+    pk = PkParams(k_e=BENCH_K_E, V=BENCH_V, k_a=BENCH_K_A)
+    h = sampled_kernel(pk, route, dt, n_h)
+    y = SampledSignal(0.0, dt, np.random.default_rng(seed).random(n_y), SignalRole.CONCENTRATION)
+    full = deconvolve(y, h, lam=lam, output_length=n_y).samples
+    for k in range(1, n_y + 1):
+        assert np.array_equal(deconvolve(y, h, lam=lam, output_length=k).samples, full[:k])
 
 
 def test_tikhonov_solve_decodes_a_stack_row_by_row(bench_pk):
     rng = np.random.default_rng(6)
     dt, n = 5.0, 1251
     h = sampled_kernel(bench_pk, Route.INTRAVENOUS, dt, n)
-    solve = TikhonovSolve(h.samples, dt, n, n)
+    solve = TikhonovSolve(h.samples, dt, n)
     stack = rng.random((4, n))
     assert np.array_equal(solve.apply(stack), np.array([solve.apply(row) for row in stack]))
     with pytest.raises(ConfigurationError):
         solve.apply(stack[:, :-1])
     with pytest.raises(DomainError):
-        TikhonovSolve(h.samples, dt, n, n, lam=float("nan"))
+        TikhonovSolve(h.samples, dt, n, lam=float("nan"))
 
 
 def test_tikhonov_solve_sizes_and_window_map(bench_pk):
-    # one transform size search when the record bounds the output; the
-    # window-sum map reproduces apply's window sums, also when n_fft is
-    # short of n_in + n_out - 1 and apply wraps around
+    # the record alone sizes the transform; the window-sum map reproduces
+    # apply's window sums, also when n_fft is short of 2 * n - 1 and apply
+    # wraps around
     rng = np.random.default_rng(8)
     dt = 6.0
-    cases = ((1984, 1984, 1984, 100, 4000), (3001, 400, 2500, 7, 3456), (500, 100, 900, 30, 1000))
-    for n_in, m, n_out, window, n_fft in cases:
+    cases = ((1984, 1984, 1984, 100, 4000), (3001, 400, 2500, 7, 3456))
+    for n, m, extent, window, n_fft in cases:
         h = sampled_kernel(bench_pk, Route.EXTRAVASCULAR, dt, m)
-        solve = TikhonovSolve(h.samples, dt, n_in, n_out)
-        assert solve.n_fft == next_fast_len(max(n_in, n_out) + m - 1) == n_fft
-        n_windows = n_out // window
-        stack = rng.random((3, n_in))
+        solve = TikhonovSolve(h.samples, dt, n)
+        assert solve.n_fft == next_fast_len(n + m - 1) == n_fft
+        n_windows = extent // window
+        stack = rng.random((3, n))
         sums = solve.apply(stack)[:, : n_windows * window].reshape(3, n_windows, window).sum(axis=2)
         assert rel_max(stack @ solve.window_map(window, n_windows), sums) < 1e-13
         with pytest.raises(ConfigurationError):
-            solve.window_map(window, n_windows + 1)
+            solve.window_map(window, n // window + 1)
 
 
 def test_regularization_tames_noise_amplification(bench_pk):
