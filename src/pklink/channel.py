@@ -162,26 +162,60 @@ def _check_dose(dose: float):
         raise DomainError(f"dose must be >= 0, got {dose}")
 
 
-def _iv_conc_raw(params: PkParams, dose: float, t: np.ndarray) -> np.ndarray:
-    return (dose / params.V) * np.exp(-params.k_e * t)
+def _model(route: Route, t, k_e: float, amplitude: float, k_a: float | None):
+    """amplitude times the route's unit-dose impulse response in amount.
+
+    Returns the curve and a function giving its derivative columns from
+    the same exponentials, for the parameters (k_a, k_e, amplitude) on the
+    extravascular route and (k_e, amplitude) on the intravenous one.  The
+    extravascular columns raise ZeroDivisionError when (k_a - k_e)**2
+    underflows to zero.
+    """
+    arr = np.asarray(t, dtype=float)
+    if route is Route.INTRAVENOUS:
+        decay = np.exp(-k_e * arr)
+        prediction = amplitude * decay
+
+        def columns():
+            return -amplitude * arr * decay, decay
+
+    elif confluent(k_a, k_e):
+        decay = np.exp(-k_a * arr)
+        prediction = amplitude * k_a * arr * decay
+
+        def columns():
+            d_ka = arr * decay * (1.0 - 0.5 * k_a * arr)
+            d_ke = -0.5 * k_a * arr**2 * decay
+            return amplitude * d_ka, amplitude * d_ke, k_a * arr * decay
+
+    else:
+        e_slow = np.exp(-k_e * arr)
+        e_fast = np.exp(-k_a * arr)
+        diff = e_slow - e_fast
+        delta = k_a - k_e
+        prediction = amplitude * (k_a / delta) * diff
+
+        def columns():
+            d_ka = (-k_e / delta**2) * diff + (k_a / delta) * arr * e_fast
+            d_ke = (k_a / delta**2) * diff - (k_a / delta) * arr * e_slow
+            return amplitude * d_ka, amplitude * d_ke, (k_a / delta) * diff
+
+    return prediction, columns
 
 
-def _ev_conc_raw(params: PkParams, dose: float, t: np.ndarray) -> np.ndarray:
-    k_a = params.require_k_a()
-    k_e = params.k_e
-    if params.degenerate:
-        return (params.F * k_a * dose / params.V) * t * np.exp(-k_a * t)
-    scale = params.F * k_a * dose / (params.V * (k_a - k_e))
-    return scale * (np.exp(-k_e * t) - np.exp(-k_a * t))
+def _curve(params: PkParams, route: Route, t, amplitude: float):
+    """_model's curve for params at times t, a scalar or an array, once they are checked."""
+    arr, scalar = _as_times(t)
+    _check_nonnegative_times(arr)
+    k_a = params.require_k_a() if route is Route.EXTRAVASCULAR else None
+    out = _model(route, arr, params.k_e, amplitude, k_a)[0]
+    return float(out) if scalar else out
 
 
 def iv_concentration(params: PkParams, dose: float, t):
     """Concentration after an impulsive intravenous dose at t = 0."""
     _check_dose(dose)
-    arr, scalar = _as_times(t)
-    _check_nonnegative_times(arr)
-    out = _iv_conc_raw(params, dose, arr)
-    return float(out) if scalar else out
+    return _curve(params, Route.INTRAVENOUS, t, dose / params.V)
 
 
 def ev_concentration(params: PkParams, dose: float, t):
@@ -192,10 +226,7 @@ def ev_concentration(params: PkParams, dose: float, t):
     instead.  Flip-flop parameter sets (k_a < k_e) are valid input.
     """
     _check_dose(dose)
-    arr, scalar = _as_times(t)
-    _check_nonnegative_times(arr)
-    out = _ev_conc_raw(params, dose, arr)
-    return float(out) if scalar else out
+    return _curve(params, Route.EXTRAVASCULAR, t, params.F * dose / params.V)
 
 
 def peak_time(params: PkParams, route: Route) -> float:
@@ -215,17 +246,8 @@ def impulse_response(params: PkParams, route: Route, t, normalization: Normaliza
     AMOUNT normalization returns the drug mass in the central compartment
     per unit dose; CONCENTRATION divides by the distribution volume V.
     """
-    arr, scalar = _as_times(t)
-    _check_nonnegative_times(arr)
-    if route is Route.INTRAVENOUS:
-        out = np.exp(-params.k_e * arr)
-        if normalization is Normalization.CONCENTRATION:
-            out = out / params.V
-    else:
-        out = _ev_conc_raw(params, 1.0, arr)
-        if normalization is Normalization.AMOUNT:
-            out = out * params.V
-    return float(out) if scalar else out
+    out = _curve(params, route, t, 1.0 if route is Route.INTRAVENOUS else params.F)
+    return out / params.V if normalization is Normalization.CONCENTRATION else out
 
 
 def frequency_response(params: PkParams, route: Route, omega):

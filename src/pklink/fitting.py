@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PkParams, Route, confluent
+from .channel import PkParams, Route, _model
 from .errors import ConvergenceError, DataError, DomainError
 
 MAX_ITERATIONS = 200
@@ -199,63 +199,25 @@ class FitResult:
     alternate: PkParams | None = None
 
 
-def _model(route: Route, t, k_e: float, amplitude: float, k_a: float | None):
-    """The model at one parameter point, from one set of exponentials.
-
-    Returns the prediction and a function that builds the Jacobian from
-    the same exponentials.  That function takes one factor per parameter
-    and returns the (n, p) array whose column j is the derivative with
-    respect to parameter j times factor j: ones give the raw Jacobian, the
-    parameters themselves the Jacobian in log-parameter space.  Parameter
-    order is (k_a, k_e, amplitude) for extravascular, (k_e, amplitude) for
-    intravenous.
-    """
-    arr = np.asarray(t, dtype=float)
-    if route is Route.INTRAVENOUS:
-        decay = np.exp(-k_e * arr)
-        prediction = amplitude * decay
-
-        def columns():
-            return -amplitude * arr * decay, decay
-
-    elif confluent(k_a, k_e):
-        decay = np.exp(-k_a * arr)
-        prediction = amplitude * k_a * arr * decay
-
-        def columns():
-            d_ka = arr * decay * (1.0 - 0.5 * k_a * arr)
-            d_ke = -0.5 * k_a * arr**2 * decay
-            return amplitude * d_ka, amplitude * d_ke, k_a * arr * decay
-
-    else:
-        e_slow = np.exp(-k_e * arr)
-        e_fast = np.exp(-k_a * arr)
-        diff = e_slow - e_fast
-        delta = k_a - k_e
-        prediction = amplitude * (k_a / delta) * diff
-
-        def columns():
-            d_ka = (-k_e / delta**2) * diff + (k_a / delta) * arr * e_fast
-            d_ke = (k_a / delta**2) * diff - (k_a / delta) * arr * e_slow
-            return amplitude * d_ka, amplitude * d_ke, (k_a / delta) * diff
-
-    def scaled_jacobian(factors):
-        try:
-            cols = columns()
-        except ZeroDivisionError:  # (k_a - k_e)**2 underflows to zero
-            cols = (np.full(arr.size, np.nan),)
-        # a column's sum of squares is 0 for a zero column, inf or nan for
-        # one that is not finite (or whose squares under- or overflow)
-        if not all(0.0 < float(col @ col) < math.inf for col in cols):
-            raise ConvergenceError(
-                f"Jacobian cannot be formed at k_a={k_a!r}, k_e={k_e!r}, amplitude={amplitude!r}"
-            )
-        out = np.empty((arr.size, len(cols)))
-        for j, (col, factor) in enumerate(zip(cols, factors)):
-            np.multiply(col, factor, out=out[:, j])
-        return out
-
-    return prediction, scaled_jacobian
+def _formed_jacobian(columns, factors, k_a, k_e, amplitude) -> np.ndarray:
+    """The (n, p) array whose column j is channel._model's derivative
+    column j times factor j: ones give the raw Jacobian, the parameters
+    themselves the Jacobian in log-parameter space.  A Jacobian with a
+    zero or non-finite column is refused with a ConvergenceError."""
+    try:
+        cols = columns()
+    except ZeroDivisionError:  # (k_a - k_e)**2 underflows to zero
+        cols = None
+    # a column's sum of squares is 0 for a zero column, inf or nan for
+    # one that is not finite (or whose squares under- or overflow)
+    if cols is None or not all(0.0 < float(col @ col) < math.inf for col in cols):
+        raise ConvergenceError(
+            f"Jacobian cannot be formed at k_a={k_a!r}, k_e={k_e!r}, amplitude={amplitude!r}"
+        )
+    out = np.empty((cols[0].size, len(cols)))
+    for j, (col, factor) in enumerate(zip(cols, factors)):
+        np.multiply(col, factor, out=out[:, j])
+    return out
 
 
 def predict(route: Route, t, k_e: float, amplitude: float, k_a: float | None = None):
@@ -264,7 +226,7 @@ def predict(route: Route, t, k_e: float, amplitude: float, k_a: float | None = N
     Intravenous: amplitude * exp(-k_e t) with amplitude = dose/V.
     Extravascular: amplitude * k_a/(k_a-k_e) * (exp(-k_e t) - exp(-k_a t))
     with amplitude = F*dose/V, switching to the confluent limit when the
-    rates coincide.
+    rates coincide.  The curve is channel's closed form.
     """
     if route is Route.EXTRAVASCULAR and k_a is None:
         raise DomainError("extravascular prediction needs k_a")
@@ -279,7 +241,7 @@ def jacobian(route: Route, t, k_e: float, amplitude: float, k_a: float | None = 
     """
     if route is Route.EXTRAVASCULAR and k_a is None:
         raise DomainError("extravascular Jacobian needs k_a")
-    return _model(route, t, k_e, amplitude, k_a)[1]((1.0, 1.0, 1.0))
+    return _formed_jacobian(_model(route, t, k_e, amplitude, k_a)[1], (1.0, 1.0, 1.0), k_a, k_e, amplitude)
 
 
 def _build_result(
@@ -410,9 +372,10 @@ def fit_least_squares(
         """Residual at th, and a function giving its log-parameter Jacobian
         from the same exponentials."""
         k_a, k_e, amp = unpack(th)
-        prediction, jacobian_of = _model(data.route, t, k_e, amp, k_a)
+        prediction, columns = _model(data.route, t, k_e, amp, k_a)
         # chain rule: d/d(log p) = p * d/dp
-        return prediction - c, lambda: jacobian_of((k_a, k_e, amp) if ev else (k_e, amp))
+        factors = (k_a, k_e, amp) if ev else (k_e, amp)
+        return prediction - c, lambda: _formed_jacobian(columns, factors, k_a, k_e, amp)
 
     def damped_trial(normal, gradient, mu):
         """(parameters, residual, Jacobian function, rss, step) of the step

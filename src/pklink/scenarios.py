@@ -22,7 +22,7 @@ import yaml
 
 from .channel import DoseEvent, DoseSchedule, PkParams, Route
 from .errors import PkLinkError, UsageError
-from .modem import ModulationConfig, frame, modulate_ook
+from .modem import REFERENCE_PAYLOAD, ModulationConfig, frame, modulate_ook
 from .testbed import PlatformConfig, plan_flows, plan_volumes
 
 SCENARIO_DIR_ENV = "MOCOBO_SCENARIO_DIR"
@@ -441,7 +441,7 @@ def _built_in_list() -> list[Scenario]:
                 modulation=ModulationConfig(
                     symbol_period=600.0, dose_mass=130.0, route=route, pump_rate=1.3
                 ),
-                payload=(0, 1, 0, 1, 0, 0, 1, 1),
+                payload=REFERENCE_PAYLOAD,
                 seed=seed,
             )
         )

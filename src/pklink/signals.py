@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,14 +235,22 @@ def deconvolve(
     domain (TikhonovSolve); lam defaults to 1e-3 * max |H|^2 where H is the
     dt-scaled transform of h, and lam = 0 gives exact recovery of full
     noiseless convolutions.  The output holds output_length samples
-    (default len(y) - len(h) + 1), at most len(y).  method must be
+    (default len(y) - len(h) + 1), at most len(y); an output_length that
+    is not an integer (a float or a bool) raises DomainError.  method must be
     "frequency", the only one; any other value raises DomainError.
     """
     if method != "frequency":
         raise DomainError(f"unknown deconvolution method {method!r}")
     _check_dt_match(y, h)
-    default_len = len(y) - len(h) + 1
-    n_out = default_len if output_length is None else int(output_length)
+    if output_length is None:
+        n_out = len(y) - len(h) + 1
+    else:
+        try:
+            n_out = operator.index(output_length)
+        except TypeError:
+            n_out = None
+        if n_out is None or isinstance(output_length, bool):
+            raise DomainError(f"output_length must be an integer, got {output_length!r}")
     if n_out < 1:
         raise ConfigurationError("deconvolution output would be empty (kernel longer than signal)")
     if n_out > len(y):

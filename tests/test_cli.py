@@ -374,13 +374,21 @@ def test_numeric_errors_exit_with_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: Jacobian cannot be formed at k_a=")
     assert "Traceback" not in err
-    # an elimination rate that overflows on the grid leaves a non-finite
-    # column, refused before the output file is opened
-    scenario = tmp_path / "overflow.yaml"
-    scenario.write_text(resolve_scenario("bench-ev").to_text().replace("k_e: 0.00151", "k_e: 1.0e+308"))
+    # a huge elimination rate still gives finite columns: k_a / (k_a - k_e)
+    # is a finite subnormal
+    bench_ev = resolve_scenario("bench-ev").to_text()
+    scenario = tmp_path / "huge-rate.yaml"
+    scenario.write_text(bench_ev.replace("k_e: 0.00151", "k_e: 1.0e+308"))
     out = tmp_path / "impulse.csv"
+    assert main(["impulse", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert np.all(np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)))
+    # a volume whose reciprocal overflows leaves a non-finite column,
+    # refused before the output file is opened
+    out.unlink()
+    scenario = tmp_path / "overflow.yaml"
+    scenario.write_text(bench_ev.replace("V: 649.0066225165563", "V: 1.0e-310"))
     assert main(["impulse", "--scenario", str(scenario), "--out", str(out)]) == 4
-    assert capsys.readouterr().err == "error: impulse column ev_norm is not finite at t=0.0\n"
+    assert capsys.readouterr().err == "error: impulse column iv_conc is not finite at t=0.0\n"
     assert not out.exists()
 
 

@@ -272,6 +272,10 @@ def test_deconvolve_argument_validation(bench_pk):
         deconvolve(y, zero)
     with pytest.raises(ConfigurationError):
         deconvolve(y, h, output_length=len(y) + 1)  # longer than the record
+    for length in (4.9, True):  # int() would make these 4 and 1 samples
+        with pytest.raises(DomainError, match="output_length must be an integer"):
+            deconvolve(h, h, output_length=length)
+    assert len(deconvolve(h, h, output_length=np.int64(4))) == 4
 
 
 def test_deconvolve_output_length_and_origin(bench_pk):

@@ -1,11 +1,15 @@
 """Benchmark code outside the test suite still runs against the package.
 
-The benchmark tracer still finds every function it wraps, and the
+The benchmark tracer still finds every function it wraps, every
+benchmark operation exits and checks as the benchmark expects, and the
 pytest-benchmark module still builds and decodes with the Receiver API.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
+
+from pklink import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -13,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def _load(path: Path, name: str):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # a dataclass looks up its module while it is built
     spec.loader.exec_module(module)
     return module
 
@@ -40,3 +45,28 @@ def test_receiver_benchmark_runs_once_per_size():
     assert argnames == "n" and sizes
     for n in sizes:
         bench(lambda run: run(), n)
+
+
+def test_every_workload_operation_passes_its_check_once(tmp_path, capsys):
+    # the benchmark refuses a run in which an operation exits with another
+    # code than expected or fails its output check; its inputs come from
+    # the package (ev_concentration curves, scenario files), so a change
+    # there can break a benchmark run without failing another test
+    workloads = _load(ROOT / "perfbench" / "workloads.py", "perfbench_workloads")
+    for name in ("long-grid", "sweep-cli"):
+        ops = workloads.build(name, 1, str(tmp_path / name))
+        problems = []
+        for index, op in enumerate(ops):
+            if op.call is not None:
+                code, stdout = 0, op.call()
+            else:
+                code = cli.main(op.argv)
+                stdout = capsys.readouterr().out
+            if code != op.expect:
+                problems.append((index, op.label, f"exit {code}, expected {op.expect}"))
+            elif code == 0 and op.check is not None:
+                problem = op.check(stdout, op.out)
+                if problem:
+                    problems.append((index, op.label, problem))
+        assert problems == [], name
+        assert workloads.audit_failures(ops) == {}, name
