@@ -35,10 +35,13 @@ ENGINES = ("analytic", "ode", "platform")
 PLAN_WARN_RTOL = 0.01
 
 # Rows formatted per block by _write_rows: large enough that the per-block
-# cost vanishes, small enough that the Python floats and text of one block
-# stay a few hundred kilobytes whatever the grid length (with 4096-row
-# blocks, the sweep-cli benchmark's peak RSS rose by about 2 MB).
-CSV_BLOCK_ROWS = 1024
+# cost vanishes, small enough that the text of one block stays small
+# whatever the grid length.  A block holds one list of strings per distinct
+# column; against a writer that formatted a block of floats at once, this
+# raised the sweep-cli benchmark's peak RSS by about 0.9 MB with 1024-row
+# blocks, 0.25 MB with 512 and nothing with 256, while long-grid simulate_s
+# was the same at 1024 and 512 rows and about 7% slower at 256.
+CSV_BLOCK_ROWS = 512
 
 
 def _fmt(value: float) -> str:
@@ -49,17 +52,30 @@ def _write_rows(fh, header, columns) -> None:
     """Write a CSV header and the columns side by side, one row per sample.
 
     Every value is written as repr(float(v)), the shortest decimal that
-    reads back to the same double.  The rows are converted one block at a
-    time, so memory does not grow with the grid.
+    reads back to the same double.  The rows are converted CSV_BLOCK_ROWS
+    at a time, column by column, so memory does not grow with the grid.
+    A column whose doubles equal an earlier column's bit for bit (as the
+    ode and platform columns of simulate do) is formatted once and its
+    text written twice; columns equal only in value, such as 0.0 and
+    -0.0, are formatted apart.
     """
     fh.write(",".join(header) + "\n")
-    # %r of a Python float is its repr: one format operation per block
-    row_fmt = ",".join(["%r"] * len(columns)) + "\n"
-    block_fmt = row_fmt * CSV_BLOCK_ROWS
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = np.column_stack([values[start : start + CSV_BLOCK_ROWS] for values in columns])
-        fmt = block_fmt if len(block) == CSV_BLOCK_ROWS else row_fmt * len(block)
-        fh.write(fmt % tuple(block.ravel().tolist()))
+    # distinct columns as raw bits, and for each column the index of its bits
+    distinct: list[np.ndarray] = []
+    source: list[int] = []
+    for values in columns:
+        bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+        match = next((k for k, seen in enumerate(distinct) if np.array_equal(bits, seen)), None)
+        if match is None:
+            match = len(distinct)
+            distinct.append(bits)
+        source.append(match)
+    for start in range(0, len(distinct[0]), CSV_BLOCK_ROWS):
+        texts = [
+            list(map(repr, bits[start : start + CSV_BLOCK_ROWS].view(np.float64).tolist()))
+            for bits in distinct
+        ]
+        fh.write("\n".join(map(",".join, zip(*[texts[k] for k in source]))) + "\n")
 
 
 @contextlib.contextmanager

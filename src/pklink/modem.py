@@ -211,12 +211,18 @@ def _noisy_rows(clean: np.ndarray, sigmas, spike_prob: float, spike_scale: float
         raise DomainError(f"spike_scale must be finite and >= 0, got {spike_scale}")
     rng = np.random.default_rng(seed)
     n = len(clean)
-    noisy = clean + rng.standard_normal(n) * sigmas[:, np.newaxis]
-    if spike_prob > 0:
-        # nothing reads the generator after the spikes, so skipping their
-        # draws when no sample can spike changes no value
-        spike_at = rng.random(n) < spike_prob
-        noisy += np.where(spike_at, rng.exponential(1.0, n) * spike_scale, 0.0)
+    # a sigma near the largest double overflows; that is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        noisy = clean + rng.standard_normal(n) * sigmas[:, np.newaxis]
+        if spike_prob > 0:
+            # nothing reads the generator after the spikes, so skipping their
+            # draws when no sample can spike changes no value
+            spike_at = rng.random(n) < spike_prob
+            noisy += np.where(spike_at, rng.exponential(1.0, n) * spike_scale, 0.0)
+    finite = np.isfinite(noisy).all(axis=1)
+    if not finite.all():
+        spikes = f" and spike_scale {spike_scale!r}" if spike_prob > 0 else ""
+        raise DomainError(f"noise of sigma {float(sigmas[np.argmin(finite)])!r}{spikes} overflows the samples")
     return np.clip(noisy, 0.0, None)
 
 
@@ -238,7 +244,8 @@ def add_noise(
     after drawing so different amplitudes share the same underlying
     realization for a given seed.  ber_sweep relies on this: it draws each
     frame's noise once and scales the same draws for every sigma, through
-    the helper this function uses.
+    the helper this function uses.  A sigma or spike_scale so large that
+    a noisy sample overflows raises DomainError.
     """
     noisy = _noisy_rows(x.samples, [sigma], spike_prob, spike_scale, seed)[0]
     return SampledSignal(t0=x.t0, dt=x.dt, samples=noisy, role=x.role)

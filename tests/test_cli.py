@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from pklink.channel import (
     peak_time,
 )
 from pklink.cli import COMMANDS, CSV_BLOCK_ROWS, build_parser, main, run_simulate
-from pklink.scenarios import resolve_scenario
+from pklink.scenarios import builtin_scenarios, resolve_scenario
 
 from conftest import BENCH_DOSE, BENCH_K_A, BENCH_K_E, BENCH_V
 
@@ -392,6 +393,21 @@ def test_numeric_errors_exit_with_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_huge_sigma_is_refused_without_a_warning(tmp_path, capsys):
+    # sigma times a standard normal overflows; the error names sigma and
+    # numpy's overflow warning is not printed on the way
+    scenario = tmp_path / "huge-sigma.yaml"
+    link_ev = resolve_scenario("link-ev").to_text()
+    assert "sigma: 0.0" in link_ev
+    scenario.write_text(link_ev.replace("sigma: 0.0", "sigma: 1.0e+308"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["link", "--scenario", str(scenario)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: noise of sigma 1e+308 overflows the samples\n"
+    assert captured.out == ""
+
+
 def test_detection_errors_exit_with_5(capsys):
     # cutting the horizon mid-frame leaves too few symbol windows
     assert main(["link", "--scenario", "link-iv", "--horizon", "3000"]) == 5
@@ -411,6 +427,36 @@ def _reference_csv(header, columns) -> str:
     """The CSV the writer must produce: each value as repr(float(v))."""
     rows = zip(*columns)
     return ",".join(header) + "\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("n", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+def test_csv_writer_reuses_only_bit_equal_columns(n):
+    rng = np.random.default_rng(n)
+    t = np.arange(n) * 0.5
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    zeros = np.zeros(n)
+    signed = zeros.copy()
+    signed[n // 2] = -0.0  # equal in value to zeros, not in bits
+    # a repeated column, a strided view of its values, and 0.0 against -0.0
+    copy = values.copy()
+    strided = np.repeat(values, 2)[::2]
+    header = ("t", "a", "b", "c", "z", "s", "z2")
+    columns = [t, values, copy, strided, zeros, signed, zeros]
+    fh = io.StringIO()
+    cli._write_rows(fh, header, columns)
+    assert fh.getvalue() == _reference_csv(header, columns)
+    assert fh.getvalue().splitlines()[1 + n // 2].split(",")[4:7] == ["0.0", "-0.0", "0.0"]
+
+
+def test_simulate_engines_agree_bit_for_bit():
+    # Both integrating engines run signals.rk4_linear on one lower-triangular
+    # system and the twin's excreta state feeds nothing back, so the ode and
+    # platform columns are the same doubles.  Only the CSV writer's speed
+    # depends on this (it formats a bit-equal column once), not its output.
+    for name, scenario in builtin_scenarios().items():
+        signals, _ = run_simulate(scenario)
+        ode, platform = signals["ode"].samples, signals["platform"].samples
+        assert np.array_equal(ode.view(np.uint64), platform.view(np.uint64)), name
 
 
 @pytest.mark.parametrize("dt, horizon", [(None, None), (0.5, None), (None, 8191.0)])

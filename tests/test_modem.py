@@ -135,6 +135,12 @@ def test_noise_validation():
         add_noise(x, sigma=math.nan)
     with pytest.raises(DomainError, match="spike_scale"):
         add_noise(x, sigma=0.1, spike_prob=0.5, spike_scale=math.nan)
+    # finite amplitudes whose noise overflows a double are refused by name
+    many = SampledSignal(0.0, 1.0, np.ones(2000), SignalRole.CONCENTRATION)
+    with pytest.raises(DomainError, match=r"^noise of sigma 1e\+308 overflows the samples$"):
+        add_noise(many, sigma=1e308)
+    with pytest.raises(DomainError, match=r"^noise of sigma 0\.1 and spike_scale 1e\+308 overflows"):
+        add_noise(many, sigma=0.1, spike_prob=1.0, spike_scale=1e308)
 
 
 def test_noise_draws_spikes_only_when_a_sample_can_spike():
