@@ -26,9 +26,9 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
-# Relative spacing of k_a and k_e below which the two-exponential solution
-# is replaced by its analytic limit to avoid catastrophic cancellation.
-DEGENERATE_RATE_TOL = 1e-9
+# |k_a - k_e| * t below which _model's columns sum nine terms (-1)^n x^n / (n! (n + 2))
+# of q's Taylor series (exact to 1e-17 there) in place of a closed form that cancels.
+Q_SERIES_BELOW = 1 / 16
 
 # Most lag grids one superpose call keeps for reuse.  Grid-aligned edges
 # need one or two (dose times and infusion ends may sit at different
@@ -42,11 +42,6 @@ class Route(enum.Enum):
 
     INTRAVENOUS = "intravenous"
     EXTRAVASCULAR = "extravascular"
-
-
-def confluent(k_a: float, k_e: float) -> bool:
-    """True when k_a and k_e are too close to separate numerically."""
-    return abs(k_a - k_e) < DEGENERATE_RATE_TOL * max(k_a, k_e)
 
 
 class Normalization(enum.Enum):
@@ -84,11 +79,6 @@ class PkParams:
         if self.k_a is None:
             raise ConfigurationError("extravascular route requires k_a")
         return self.k_a
-
-    @property
-    def degenerate(self) -> bool:
-        """True when k_a and k_e are too close to separate numerically."""
-        return self.k_a is not None and confluent(self.k_a, self.k_e)
 
 
 @dataclass(frozen=True)
@@ -162,47 +152,56 @@ def _check_dose(dose: float):
         raise DomainError(f"dose must be >= 0, got {dose}")
 
 
-def _model(route: Route, t, k_e: float, amplitude: float, k_a: float | None):
-    """amplitude times the route's unit-dose impulse response in amount.
+def _divided_difference(arr: np.ndarray, k_a: float, k_e: float):
+    """exp(-k_lo t), expm1(-delta t) and exp(-k_lo t) h, h = -expm1(-delta t) / delta (t at delta == 0):
+    the divided difference (exp(-k_e t) - exp(-k_a t)) / (k_a - k_e), in a form that never cancels."""
+    delta = abs(k_a - k_e)
+    decay = np.exp(-min(k_a, k_e) * arr)
+    m = np.expm1(-delta * arr)
+    shape = m / -delta if delta else arr.copy()
+    shape *= decay
+    return decay, m, shape
 
-    Returns the curve and a function giving its derivative columns from
-    the same exponentials, for the parameters (k_a, k_e, amplitude) on the
-    extravascular route and (k_e, amplitude) on the intravenous one.  The
-    extravascular columns raise ZeroDivisionError when (k_a - k_e)**2
-    underflows to zero.
-    """
+
+def _model(route: Route, t, k_e: float, amplitude: float, k_a: float | None):
+    """amplitude times the route's unit-dose impulse response in amount, and a
+    function giving its derivative columns from the same exponentials, in
+    (k_a, k_e, amplitude) on the extravascular route, (k_e, amplitude) on the other."""
     arr = np.asarray(t, dtype=float)
     if route is Route.INTRAVENOUS:
         decay = np.exp(-k_e * arr)
-        prediction = amplitude * decay
+        return amplitude * decay, lambda: (-amplitude * arr * decay, decay)
+    if k_a is None:
+        raise DomainError("the extravascular model needs k_a")
+    # amplitude * k_a * exp(-k_lo t) * h, formed in place
+    delta = abs(k_a - k_e)
+    decay, m, prediction = _divided_difference(arr, k_a, k_e)
+    scale = amplitude * k_a
+    prediction *= scale
 
-        def columns():
-            return -amplitude * arr * decay, decay
-
-    elif confluent(k_a, k_e):
-        decay = np.exp(-k_a * arr)
-        prediction = amplitude * k_a * arr * decay
-
-        def columns():
-            d_ka = arr * decay * (1.0 - 0.5 * k_a * arr)
-            d_ke = -0.5 * k_a * arr**2 * decay
-            return amplitude * d_ka, amplitude * d_ke, k_a * arr * decay
-
-    else:
-        e_slow = np.exp(-k_e * arr)
-        e_fast = np.exp(-k_a * arr)
-        diff = e_slow - e_fast
-        delta = k_a - k_e
-        prediction = amplitude * (k_a / delta) * diff
-
-        def columns():
-            d_ka = (-k_e / delta**2) * diff + (k_a / delta) * arr * e_fast
-            d_ke = (k_a / delta**2) * diff - (k_a / delta) * arr * e_slow
-            return amplitude * d_ka, amplitude * d_ke, (k_a / delta) * diff
+    def columns():
+        # d_hi = scale exp(-k_lo t) dh/d(delta) = (scale t exp(-k_hi t) - prediction) / delta, or
+        # -scale t**2 exp(-k_lo t) q(delta t), q(x) = (1 - exp(-x)(1 + x)) / x**2, where that cancels
+        d_hi = (m + 1.0) * decay * arr * scale - prediction
+        if delta:
+            d_hi *= 1.0 / delta
+        near = arr * delta < Q_SERIES_BELOW
+        if near.any():
+            x = arr[near]
+            q = np.vander(x * delta, 9, increasing=True) @ (
+                1 / 2, -1 / 3, 1 / 8, -1 / 30, 1 / 144, -1 / 840, 1 / 5760, -1 / 45360, 1 / 403200
+            )
+            d_hi[near] = -q * decay[near] * x**2 * scale
+        # the derivatives in k_hi and k_lo, and k_a's own factor added to the one that is k_a
+        d_lo = -(arr * prediction + d_hi)
+        d_ka, d_ke = (d_hi, d_lo) if k_a >= k_e else (d_lo, d_hi)
+        d_ka += prediction * (1.0 / k_a)
+        return d_ka, d_ke, prediction * (1.0 / amplitude)
 
     return prediction, columns
 
 
+@np.errstate(over="ignore")  # a rate * time past the float range: exp(-inf) = 0
 def _curve(params: PkParams, route: Route, t, amplitude: float):
     """_model's curve for params at times t, a scalar or an array, once they are checked."""
     arr, scalar = _as_times(t)
@@ -219,12 +218,9 @@ def iv_concentration(params: PkParams, dose: float, t):
 
 
 def ev_concentration(params: PkParams, dose: float, t):
-    """Concentration after an impulsive extravascular dose at t = 0.
-
-    Uses the two-exponential solution; when k_a and k_e coincide to within
-    DEGENERATE_RATE_TOL the analytic limit F*k*D/V * t * exp(-k*t) is used
-    instead.  Flip-flop parameter sets (k_a < k_e) are valid input.
-    """
+    """Concentration after an impulsive extravascular dose at t = 0: F*D/V *
+    k_a * (exp(-k_e t) - exp(-k_a t)) / (k_a - k_e) as one expression for every
+    k_a, k_e > 0, F*D/V * k t exp(-k t) at k_a == k_e == k, flip-flop included."""
     _check_dose(dose)
     return _curve(params, Route.EXTRAVASCULAR, t, params.F * dose / params.V)
 
@@ -233,11 +229,11 @@ def peak_time(params: PkParams, route: Route) -> float:
     """Time of maximum concentration after an impulsive dose at t = 0."""
     if route is Route.INTRAVENOUS:
         return 0.0
-    k_a = params.require_k_a()
-    k_e = params.k_e
-    if params.degenerate:
-        return 1.0 / k_a
-    return math.log(k_a / k_e) / (k_a - k_e)
+    k_lo, k_hi = sorted((params.require_k_a(), params.k_e))
+    delta = k_hi - k_lo
+    # ln(k_hi / k_lo) / delta: log1p for a small spacing, k_lo / k_hi past overflow
+    log_ratio = math.log1p(delta / k_lo) if delta < k_lo else -math.log(k_lo / k_hi)
+    return log_ratio / delta if delta else 1.0 / k_lo
 
 
 def impulse_response(params: PkParams, route: Route, t, normalization: Normalization = Normalization.CONCENTRATION):
@@ -264,16 +260,21 @@ def frequency_response(params: PkParams, route: Route, omega):
     return complex(out) if arr.ndim == 0 else out
 
 
+@np.errstate(over="ignore")  # as in _curve
 def _step_response_raw(params: PkParams, route: Route, t: np.ndarray) -> np.ndarray:
     """Concentration response to a unit mass-rate switched on at t = 0 (t >= 0)."""
     k_e = params.k_e
     if route is Route.INTRAVENOUS:
         return (1.0 / (params.V * k_e)) * (1.0 - np.exp(-k_e * t))
-    k_a = params.require_k_a()
-    if params.degenerate:
-        return (params.F / (params.V * k_a)) * (1.0 - (1.0 + k_a * t) * np.exp(-k_a * t))
-    scale = params.F * k_a / (params.V * (k_a - k_e))
-    return scale * ((1.0 - np.exp(-k_e * t)) / k_e - (1.0 - np.exp(-k_a * t)) / k_a)
+    # F/V * ((1 - exp(-k_e t)) / k_e - exp(-k_lo t) h), in place
+    out, m, shape = _divided_difference(t, params.require_k_a(), k_e)
+    if k_e > params.k_a:  # exp(-k_e t) = exp(-k_lo t) * exp(-delta t)
+        out *= np.add(m, 1.0, out=m)
+    np.subtract(1.0, out, out=out)
+    out /= k_e
+    out -= shape
+    out *= params.F / params.V
+    return out
 
 
 def superpose(params: PkParams, route: Route, schedule: DoseSchedule, t):

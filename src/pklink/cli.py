@@ -25,7 +25,7 @@ from .errors import ConfigurationError, DomainError, PkLinkError, UsageError, ex
 from .fitting import ConcentrationSeries, fit_least_squares, fit_residuals
 from .modem import DetectionReport, add_noise, detect, symbol_samples
 from .scenarios import Scenario, builtin_scenarios, resolve_scenario
-from .signals import SampledSignal, SignalRole, dose_rate_signal, integrate_ode, sample
+from .signals import SampledSignal, SignalRole, dose_rate_signal, integrate_ode, sample, split_doses
 from .testbed import PlatformConfig, plan_flows, plan_volumes, simulate_platform
 
 ENGINES = ("analytic", "ode", "platform")
@@ -122,8 +122,8 @@ def run_engine(scenario: Scenario, engine: str) -> SampledSignal:
             SignalRole.CONCENTRATION,
         )
     if engine == "ode":
-        rate = dose_rate_signal(schedule, dt, n)
-        return integrate_ode(scenario.pk, scenario.route, rate, (n - 1) * dt)
+        infusions, jumps = split_doses(schedule, dt, n - 1)
+        return integrate_ode(scenario.pk, scenario.route, dose_rate_signal(infusions, dt, n), (n - 1) * dt, jumps)
     if engine == "platform":
         trace = simulate_platform(scenario_platform(scenario), schedule, dt, (n - 1) * dt)
         return SampledSignal(t0=0.0, dt=dt, samples=trace.c_b, role=SignalRole.CONCENTRATION)

@@ -202,18 +202,12 @@ class FitResult:
 def _formed_jacobian(columns, factors, k_a, k_e, amplitude) -> np.ndarray:
     """The (n, p) array whose column j is channel._model's derivative
     column j times factor j: ones give the raw Jacobian, the parameters
-    themselves the Jacobian in log-parameter space.  A Jacobian with a
-    zero or non-finite column is refused with a ConvergenceError."""
-    try:
-        cols = columns()
-    except ZeroDivisionError:  # (k_a - k_e)**2 underflows to zero
-        cols = None
-    # a column's sum of squares is 0 for a zero column, inf or nan for
-    # one that is not finite (or whose squares under- or overflow)
-    if cols is None or not all(0.0 < float(col @ col) < math.inf for col in cols):
-        raise ConvergenceError(
-            f"Jacobian cannot be formed at k_a={k_a!r}, k_e={k_e!r}, amplitude={amplitude!r}"
-        )
+    themselves the Jacobian in log-parameter space.  A column whose sum of
+    squares is 0 (a zero column), or inf or nan (one that is not finite, or
+    whose squares under- or overflow), is refused with a ConvergenceError."""
+    cols = columns()
+    if not all(0.0 < float(col @ col) < math.inf for col in cols):
+        raise ConvergenceError(f"Jacobian cannot be formed at k_a={k_a!r}, k_e={k_e!r}, amplitude={amplitude!r}")
     out = np.empty((cols[0].size, len(cols)))
     for j, (col, factor) in enumerate(zip(cols, factors)):
         np.multiply(col, factor, out=out[:, j])
@@ -225,11 +219,8 @@ def predict(route: Route, t, k_e: float, amplitude: float, k_a: float | None = N
 
     Intravenous: amplitude * exp(-k_e t) with amplitude = dose/V.
     Extravascular: amplitude * k_a/(k_a-k_e) * (exp(-k_e t) - exp(-k_a t))
-    with amplitude = F*dose/V, switching to the confluent limit when the
-    rates coincide.  The curve is channel's closed form.
+    with amplitude = F*dose/V, also at k_a == k_e: channel's closed form.
     """
-    if route is Route.EXTRAVASCULAR and k_a is None:
-        raise DomainError("extravascular prediction needs k_a")
     return _model(route, t, k_e, amplitude, k_a)[0]
 
 
@@ -239,8 +230,6 @@ def jacobian(route: Route, t, k_e: float, amplitude: float, k_a: float | None = 
     Columns follow parameter order: (k_a, k_e, amplitude) for
     extravascular, (k_e, amplitude) for intravenous.
     """
-    if route is Route.EXTRAVASCULAR and k_a is None:
-        raise DomainError("extravascular Jacobian needs k_a")
     return _formed_jacobian(_model(route, t, k_e, amplitude, k_a)[1], (1.0, 1.0, 1.0), k_a, k_e, amplitude)
 
 
@@ -297,6 +286,7 @@ def _log_regression(t: np.ndarray, values: np.ndarray, what: str) -> tuple[float
     return -float(slope), float(math.exp(intercept))
 
 
+@np.errstate(over="ignore")  # residuals past the float range give an rss of inf, not a warning
 def fit_residuals(data: ConcentrationSeries, volume: float | None = None) -> FitResult:
     """Method of residuals (curve stripping).
 
@@ -339,6 +329,7 @@ def fit_residuals(data: ConcentrationSeries, volume: float | None = None) -> Fit
     return _build_result(data, k_slow, amplitude, rss, 1, "residuals", k_fast, volume)
 
 
+@np.errstate(over="ignore")  # an rss or Jacobian past the float range is refused as not finite
 def fit_least_squares(
     data: ConcentrationSeries,
     init: PkParams,
@@ -388,8 +379,7 @@ def fit_least_squares(
         except np.linalg.LinAlgError:
             return None
         trial = theta + step
-        with np.errstate(over="ignore"):
-            p_trial = np.exp(trial)
+        p_trial = np.exp(trial)
         if not np.all(np.isfinite(p_trial)) or np.any(p_trial <= 0.0):
             return None
         r_trial, jacobian_trial = evaluate(trial)

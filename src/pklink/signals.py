@@ -158,6 +158,19 @@ def dose_rate_signal(schedule: DoseSchedule, dt: float, n: int) -> SampledSignal
     return SampledSignal(t0=0.0, dt=dt, samples=samples, role=SignalRole.MASS_RATE)
 
 
+def split_doses(schedule: DoseSchedule, dt: float, n_steps: int) -> tuple[DoseSchedule, np.ndarray]:
+    """The infusions of a schedule, for dose_rate_signal, and jumps[i], the mass
+    of its impulsive doses nearest t = i*dt, i <= n_steps, for rk4_linear."""
+    jumps = np.zeros(n_steps + 1)
+    for event in schedule:
+        if event.duration == 0.0 and event.mass > 0.0:
+            idx = int(round(event.time / dt))
+            if not (0 <= idx <= n_steps):
+                raise ConfigurationError(f"dose at t={event.time} falls outside the horizon")
+            jumps[idx] += event.mass
+    return DoseSchedule(events=tuple(e for e in schedule if e.duration > 0.0 and e.mass > 0.0)), jumps
+
+
 def _check_dt_match(x: SampledSignal, h: SampledSignal):
     if abs(x.dt - h.dt) > DT_MATCH_RTOL * max(x.dt, h.dt):
         raise ConfigurationError(f"sample steps differ: {x.dt} vs {h.dt}")
@@ -398,11 +411,14 @@ def first_order_scan(d: np.ndarray, p: float) -> np.ndarray:
     return (blocks @ powers[_SCAN_LAG].T).reshape(-1)[:n]
 
 
-def integrate_ode(params: PkParams, route: Route, u: SampledSignal, horizon: float) -> SampledSignal:
+def integrate_ode(
+    params: PkParams, route: Route, u: SampledSignal, horizon: float, jumps: np.ndarray | None = None
+) -> SampledSignal:
     """Integrate the compartment ODEs with classical fixed-step RK4.
 
     The input is held constant over each step (zero-order hold) and is zero
-    beyond its sampled extent.  State starts at zero at u.t0 and the
+    beyond its sampled extent; jumps (from split_doses, one per grid point up
+    to the horizon) adds impulsive doses.  State starts at zero at u.t0 and the
     concentration of the central compartment is returned on the input grid
     up to u.t0 + horizon.  The integration is rk4_linear, the core shared
     with the hydraulic twin, so both engines have one stability bound:
@@ -426,7 +442,7 @@ def integrate_ode(params: PkParams, route: Route, u: SampledSignal, horizon: flo
         M, b = [[-ka, 0.0], [ka, -ke]], [params.F, 0.0]
     rates = np.zeros(n_steps)
     rates[: len(u)] = u.samples[:n_steps]
-    central = rk4_linear(M, b, dt, rates)[-1]
+    central = rk4_linear(M, b, dt, rates, jumps)[-1]
     return SampledSignal(t0=u.t0, dt=dt, samples=central / params.V, role=SignalRole.CONCENTRATION)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import DoseSchedule, Route
 from .errors import ConfigurationError, DomainError
-from .signals import dose_rate_signal, rk4_linear
+from .signals import dose_rate_signal, rk4_linear, split_doses
 
 
 @dataclass(frozen=True)
@@ -131,15 +131,7 @@ def simulate_platform(
     if n_steps < 1:
         raise ConfigurationError(f"horizon {horizon} shorter than one step {dt}")
 
-    doses = [event for event in schedule if event.mass > 0.0]
-    jumps = np.zeros(n_steps + 1)
-    for event in doses:
-        if event.duration == 0.0:
-            idx = int(round(event.time / dt))
-            if not (0 <= idx <= n_steps):
-                raise ConfigurationError(f"dose at t={event.time} falls outside the horizon")
-            jumps[idx] += event.mass
-    infusions = DoseSchedule(events=tuple(event for event in doses if event.duration > 0.0))
+    infusions, jumps = split_doses(schedule, dt, n_steps)
     rate = dose_rate_signal(infusions, dt, n_steps).samples
 
     ra = config.absorption_rate

@@ -65,12 +65,12 @@ def test_iv_peak_is_at_dose_time(bench_iv_pk):
 
 
 def test_degenerate_peak_time():
+    # at k_a == k_e == k the curve k t exp(-k t) peaks at 1 / k
     p = PkParams(k_e=2.0e-3, V=100.0, k_a=2.0e-3)
-    assert p.degenerate
-    assert peak_time(p, Route.EXTRAVASCULAR) == pytest.approx(500.0, rel=1e-12)
+    assert peak_time(p, Route.EXTRAVASCULAR) == 500.0
 
 
-def test_degenerate_limit_is_continuous():
+def test_ev_curve_is_continuous_at_equal_rates():
     k = 2.0e-3
     exact = PkParams(k_e=k, V=100.0, k_a=k)
     nearby = PkParams(k_e=k, V=100.0, k_a=k * (1.0 + 2e-9))
@@ -78,6 +78,59 @@ def test_degenerate_limit_is_continuous():
     a = ev_concentration(exact, 10.0, t)
     b = ev_concentration(nearby, 10.0, t)
     assert rel_max(a, b) < 1e-6
+
+
+# k_a / k_e at, and from 1e-12 to 1e-6 away from, equal rates, where
+# exp(-k_e t) - exp(-k_a t) cancels to the digits of k_a - k_e
+NEAR_EQUAL_RATIOS = [1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 5e-10, 1.0 + 2e-9, 1.0 - 2e-9,
+                     1.0 + 1e-7, 1.0 - 1e-7, 1.0 + 1e-6, 1.0 - 1e-6]
+
+
+def _near_equal_case(ratio):
+    """(params, k_lo, delta, t) for k_e = 1.51e-3, k_a = ratio * k_e, on
+    a grid over 40 time constants."""
+    p = PkParams(k_e=1.51e-3, V=649.0, k_a=1.51e-3 * ratio, F=0.85)
+    k_lo, delta = min(p.k_a, p.k_e), abs(p.k_a - p.k_e)
+    return p, k_lo, delta, np.linspace(0.0, 40.0 / k_lo, 2001)
+
+
+@pytest.mark.parametrize("ratio", NEAR_EQUAL_RATIOS)
+def test_ev_curves_match_a_series_in_the_rate_spacing(ratio):
+    # oracle: with x = delta t, (exp(-k_e t) - exp(-k_a t)) / (k_a - k_e)
+    # is exp(-k_lo t) t sum_n (-x)^n / (n + 1)!, and x < 1e-4 here
+    p, k_lo, delta, t = _near_equal_case(ratio)
+    x = delta * t
+    h = t * (1.0 - x / 2.0 + x**2 / 6.0 - x**3 / 24.0)
+    impulse = p.F / p.V * p.k_a * np.exp(-k_lo * t) * h
+    got = impulse_response(p, Route.EXTRAVASCULAR, t)
+    assert np.max(np.abs(got - impulse)) <= 1e-15 * np.max(impulse)
+    # the unit-rate step response integrates the impulse response term by
+    # term: int_0^t exp(-k s) s^(n+1) / (n+1)! ds = P(n + 2, k t) / k^(n+2),
+    # P the regularized lower incomplete gamma function: with y = k t,
+    # P(m, y) = exp(-y) y^m / m! (1 + y / (m+1) + y^2 / ((m+1)(m+2)) + ...)
+    # below y = m and 1 - exp(-y) (1 + y + ... + y^(m-1) / (m-1)!) above
+    y = k_lo * t
+    step = np.zeros_like(t)
+    for n in range(3):
+        m = n + 2
+        term, rising = np.ones_like(y), np.ones_like(y)
+        for i in range(1, 40):
+            term *= y / (m + i)
+            rising += term
+        below = np.exp(-y) * y**m / math.factorial(m) * rising
+        above = 1.0 - np.exp(-y) * sum(y**j / math.factorial(j) for j in range(m))
+        step += (-delta) ** n * np.where(y < m, below, above) / k_lo**m
+    step *= p.F / p.V * p.k_a
+    got = channel._step_response_raw(p, Route.EXTRAVASCULAR, t)
+    assert np.max(np.abs(got - step)) <= 1e-15 * p.F / (p.V * p.k_e)
+
+
+@pytest.mark.parametrize("ratio", [1.0 + 2e-9, 1.0 - 2e-9])
+def test_peak_time_near_equal_rates_matches_its_series(ratio):
+    # ln(k_hi / k_lo) / delta = (1 - y/2 + y^2/3 - ...) / k_lo, y = delta / k_lo
+    p, k_lo, delta, _ = _near_equal_case(ratio)
+    y = delta / k_lo
+    assert peak_time(p, Route.EXTRAVASCULAR) == pytest.approx((1.0 - y / 2.0 + y**2 / 3.0) / k_lo, rel=1e-14)
 
 
 def test_flip_flop_rates_are_valid():
@@ -148,7 +201,7 @@ def test_impulse_response_normalizations(bench_pk):
     k_e=st.floats(min_value=1e-5, max_value=1e-1),
     ratio=st.one_of(
         st.floats(min_value=1e-2, max_value=1e2),  # k_a < k_e is the flip-flop case
-        st.sampled_from([1.0 - 1e-10, 1.0, 1.0 + 1e-10]),  # the confluent limit
+        st.sampled_from([1.0 - 2e-9, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 1.0 + 2e-9]),  # near k_a == k_e
     ),
     F=st.floats(min_value=0.05, max_value=1.0),
 )

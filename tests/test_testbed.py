@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pklink.channel import DoseEvent, DoseSchedule, PkParams, Route
 from pklink.errors import ConfigurationError, DomainError
-from pklink.signals import SampledSignal, SignalRole, dose_rate_signal, integrate_ode
+from pklink.signals import SampledSignal, SignalRole, dose_rate_signal, integrate_ode, split_doses
 from pklink.testbed import (
     PlatformConfig,
     mass_audit,
@@ -205,7 +205,16 @@ def test_engines_match_a_generic_rk4_loop(ka_dt, ke_dt, confluent, dt, route, sp
     double = DoseSchedule(events=tuple(DoseEvent(e.time, 2.0 * e.mass, e.duration) for e in schedule))
     horizon = N_STEPS * dt
 
-    # the ODE engine takes every dose as a rate; impulses fill one step
+    jumps = np.zeros(N_STEPS + 1)
+    infusions = np.zeros(N_STEPS)
+    for i, m, d in spec:
+        if d == 0:
+            jumps[i] += m
+        else:
+            infusions[i : i + d] += m / (d * dt)
+
+    # given every dose as a rate, the ODE engine fills one step with an
+    # impulse; given split_doses' jumps, it takes impulses as jumps
     pk = PkParams(k_e=k_e, V=80.0, k_a=k_a, F=0.7)
     if route is Route.INTRAVENOUS:
         M, b = [[-k_e]], [1.0]
@@ -217,17 +226,14 @@ def test_engines_match_a_generic_rk4_loop(ka_dt, ke_dt, confluent, dt, route, sp
     assert rel_max(ode, ref) < 1e-12
     ode2 = integrate_ode(pk, route, dose_rate_signal(double, dt, N_STEPS + 1), horizon).samples
     assert np.array_equal(ode2, 2.0 * ode)
+    split, split_jumps = split_doses(schedule, dt, N_STEPS)
+    assert np.array_equal(split_jumps, jumps)
+    ode = integrate_ode(pk, route, dose_rate_signal(split, dt, N_STEPS + 1), horizon, split_jumps).samples
+    assert rel_max(ode, _rk4_reference(M, b, dt, infusions, jumps)[-1] / pk.V) < 1e-12
 
     # the twin takes impulses as jumps and infusions as rates
     config = PlatformConfig(Q_a=k_a * 30.0, Q_e=k_e * 50.0, V_a=30.0, V_b=50.0, route=route)
     ra, re = config.absorption_rate, config.elimination_rate
-    jumps = np.zeros(N_STEPS + 1)
-    infusions = np.zeros(N_STEPS)
-    for i, m, d in spec:
-        if d == 0:
-            jumps[i] += m
-        else:
-            infusions[i : i + d] += m / (d * dt)
     entry = [1.0, 0.0, 0.0] if route is Route.EXTRAVASCULAR else [0.0, 1.0, 0.0]
     M3 = [[-ra, 0.0, 0.0], [ra, -re, 0.0], [0.0, re, 0.0]]
     ref = _rk4_reference(M3, entry, dt, infusions, jumps)

@@ -1,8 +1,8 @@
 """Benchmark code outside the test suite still runs against the package.
 
 The benchmark tracer still finds every function it wraps, every
-benchmark operation exits and checks as the benchmark expects, and the
-pytest-benchmark module still builds and decodes with the Receiver API.
+benchmark operation exits and checks as the benchmark expects, and every
+pytest-benchmark module under bench/ still runs against the package.
 """
 
 import importlib.util
@@ -35,16 +35,31 @@ def test_every_traced_attribute_is_defined_on_its_owner():
     assert missing == []
 
 
-def test_receiver_benchmark_runs_once_per_size():
-    # bench/ lies outside testpaths, so a Receiver or TikhonovSolve change
-    # would otherwise break it unnoticed; the stand-in benchmark fixture
-    # calls the timed function once
-    bench = _load(ROOT / "bench" / "test_transforms.py", "bench_transforms").test_receiver_build_and_decode
-    (mark,) = [m for m in bench.pytestmark if m.name == "parametrize"]
-    argnames, sizes = mark.args
-    assert argnames == "n" and sizes
-    for n in sizes:
-        bench(lambda run: run(), n)
+def test_every_bench_module_runs_once():
+    # bench/ lies outside testpaths, so a change to what a pytest-benchmark
+    # module calls would otherwise break it unnoticed; each test in each
+    # bench/test_*.py runs once per parameter set, with a stand-in
+    # benchmark fixture that calls the timed function once
+    ran = []
+    for path in sorted((ROOT / "bench").glob("test_*.py")):
+        module = _load(path, f"bench_{path.stem}")
+        for name, bench in vars(module).items():
+            if not name.startswith("test_"):
+                continue
+            cases = [{}]
+            for mark in getattr(bench, "pytestmark", []):
+                if mark.name == "parametrize":
+                    argnames, values = mark.args
+                    assert "," not in argnames
+                    cases = [dict(case, **{argnames: value}) for case in cases for value in values]
+            for case in cases:
+                bench(lambda run: run(), **case)
+            ran.append(f"{path.stem}::{name}")
+    assert ran == [
+        "test_closed_form::test_closed_form",
+        "test_csv_writer::test_write_rows",
+        "test_transforms::test_receiver_build_and_decode",
+    ]
 
 
 def test_every_workload_operation_passes_its_check_once(tmp_path, capsys):
