@@ -327,6 +327,23 @@ def test_jacobian_matches_central_differences_over_parameter_space(route, k_e, r
     assert np.all(np.max(np.abs(j - fd), axis=0) <= 1e-6 * peak)
 
 
+def test_jacobian_confluent_branch_matches_finite_differences():
+    # at k_a == k_e exactly; step size large enough to keep the probe in
+    # well conditioned territory
+    amp, k = 0.2, 2.0e-3
+    t = np.linspace(30.0, 3000.0, 17)
+    j = jacobian(Route.EXTRAVASCULAR, t, k, amp, k)
+    eps = 1e-4 * k
+    fd = np.column_stack([
+        (predict(Route.EXTRAVASCULAR, t, k, amp, k + eps)
+         - predict(Route.EXTRAVASCULAR, t, k, amp, k - eps)) / (2 * eps),
+        (predict(Route.EXTRAVASCULAR, t, k + eps, amp, k)
+         - predict(Route.EXTRAVASCULAR, t, k - eps, amp, k)) / (2 * eps),
+        predict(Route.EXTRAVASCULAR, t, k, 1.0, k),
+    ])
+    assert np.max(np.abs(j - fd)) / np.max(np.abs(j)) < 1e-6
+
+
 def test_curve_stripping_recovers_bench_constants():
     result = fit_residuals(_bench_series(), volume=BENCH_V)
     assert result.method == "residuals"
