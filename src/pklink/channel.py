@@ -165,12 +165,27 @@ def _divided_difference(arr: np.ndarray, k_a: float, k_e: float):
 
 def _model(route: Route, t, k_e: float, amplitude: float, k_a: float | None):
     """amplitude times the route's unit-dose impulse response in amount, and a
-    function giving its derivative columns from the same exponentials, in
-    (k_a, k_e, amplitude) on the extravascular route, (k_e, amplitude) on the other."""
+    function of a C-ordered (len(t), p) array out and p factors that writes the
+    derivative columns, from the same exponentials, times the factors into out
+    and returns the sums of squares of the columns themselves.  The columns
+    are (k_a, k_e, amplitude) on the extravascular route, (k_e, amplitude) on
+    the other.  That function makes no temporary array of t's length: the
+    extravascular columns are formed in the arrays of the exponentials, which
+    they overwrite, so it is called once."""
     arr = np.asarray(t, dtype=float)
     if route is Route.INTRAVENOUS:
         decay = np.exp(-k_e * arr)
-        return amplitude * decay, lambda: (-amplitude * arr * decay, decay)
+
+        def iv_columns(out, factors):
+            # -amplitude * t * exp(-k_e t), exp(-k_e t)
+            d_k = np.multiply(-amplitude, arr, out=out[:, 0])
+            d_k *= decay
+            sums = [float(d_k @ d_k), float(decay @ decay)]
+            d_k *= factors[0]
+            np.multiply(decay, factors[1], out=out[:, 1])
+            return sums
+
+        return amplitude * decay, iv_columns
     if k_a is None:
         raise DomainError("the extravascular model needs k_a")
     # amplitude * k_a * exp(-k_lo t) * h, formed in place
@@ -179,24 +194,39 @@ def _model(route: Route, t, k_e: float, amplitude: float, k_a: float | None):
     scale = amplitude * k_a
     prediction *= scale
 
-    def columns():
-        # d_hi = scale exp(-k_lo t) dh/d(delta) = (scale t exp(-k_hi t) - prediction) / delta, or
+    def columns(out, factors):
+        scratch = out.reshape(-1)[: arr.size]  # contiguous, and free until the columns are written
+        # d_hi, in m: scale exp(-k_lo t) dh/d(delta) = (scale t exp(-k_hi t) - prediction) / delta, or
         # -scale t**2 exp(-k_lo t) q(delta t), q(x) = (1 - exp(-x)(1 + x)) / x**2, where that cancels
-        d_hi = (m + 1.0) * decay * arr * scale - prediction
+        d_hi = m
+        d_hi += 1.0
+        d_hi *= decay
+        d_hi *= arr
+        d_hi *= scale
+        d_hi -= prediction
         if delta:
             d_hi *= 1.0 / delta
-        near = arr * delta < Q_SERIES_BELOW
+        near = np.multiply(arr, delta, out=scratch) < Q_SERIES_BELOW
         if near.any():
             x = arr[near]
             q = np.vander(x * delta, 9, increasing=True) @ (
                 1 / 2, -1 / 3, 1 / 8, -1 / 30, 1 / 144, -1 / 840, 1 / 5760, -1 / 45360, 1 / 403200
             )
             d_hi[near] = -q * decay[near] * x**2 * scale
+        # d_lo, in decay: -(t * prediction + d_hi)
+        d_lo = np.multiply(arr, prediction, out=decay)
+        d_lo += d_hi
+        np.negative(d_lo, out=d_lo)
         # the derivatives in k_hi and k_lo, and k_a's own factor added to the one that is k_a
-        d_lo = -(arr * prediction + d_hi)
         d_ka, d_ke = (d_hi, d_lo) if k_a >= k_e else (d_lo, d_hi)
-        d_ka += prediction * (1.0 / k_a)
-        return d_ka, d_ke, prediction * (1.0 / amplitude)
+        d_ka += np.multiply(prediction, 1.0 / k_a, out=scratch)
+        sums = [float(d_ka @ d_ka), float(d_ke @ d_ke)]
+        np.multiply(d_ka, factors[0], out=out[:, 0])
+        np.multiply(d_ke, factors[1], out=out[:, 1])
+        d_amp = np.multiply(prediction, 1.0 / amplitude, out=d_ka)
+        sums.append(float(d_amp @ d_amp))
+        np.multiply(d_amp, factors[2], out=out[:, 2])
+        return sums
 
     return prediction, columns
 

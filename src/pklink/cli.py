@@ -123,7 +123,9 @@ def run_engine(scenario: Scenario, engine: str) -> SampledSignal:
         )
     if engine == "ode":
         infusions, jumps = split_doses(schedule, dt, n - 1)
-        return integrate_ode(scenario.pk, scenario.route, dose_rate_signal(infusions, dt, n), (n - 1) * dt, jumps)
+        # the infusions on the n - 1 steps, as the twin lays them, so both refuse one past the grid
+        rates = dose_rate_signal(infusions, dt, n - 1)
+        return integrate_ode(scenario.pk, scenario.route, rates, (n - 1) * dt, jumps)
     if engine == "platform":
         trace = simulate_platform(scenario_platform(scenario), schedule, dt, (n - 1) * dt)
         return SampledSignal(t0=0.0, dt=dt, samples=trace.c_b, role=SignalRole.CONCENTRATION)

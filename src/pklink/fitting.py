@@ -13,6 +13,7 @@ alternative.
 
 from __future__ import annotations
 
+import codecs
 import io
 import math
 import re
@@ -65,92 +66,135 @@ class ConcentrationSeries:
         The file is UTF-8, with or without a byte-order mark.  Blank lines
         and full-line # comments are skipped.  Malformed rows and
         undecodable bytes fail with a DataError naming the file, and
-        malformed rows also name the line.
+        malformed rows also name the line; undecodable bytes are located
+        by their offset in the file.
 
-        The body is read in one pass: comment and whitespace-only lines
-        are cut out of the text and np.loadtxt converts the rest.  A body
+        The file is read once, as bytes, and the body is converted in one
+        pass over those bytes: np.loadtxt reads it where the header ends,
+        skipping empty lines and lines that start with #.  Other skipped
+        lines (whitespace only, or an indented comment) are cut out first;
+        only a body that is not ASCII is decoded, for that cut.  A body
         that pass declines (lone CR line ends, a # inside a row, a field
         np.loadtxt rejects) goes through the line-by-line reader, which
         gives the same values or names the first bad line.
         """
-        try:
-            fh = open(path, newline="", encoding="utf-8-sig")
-        except OSError as exc:
-            raise DataError(f"cannot read {path}: {exc}") from exc
-        with fh:
-            try:
-                header = fh.readline()
-                body = fh.read()
-            except UnicodeDecodeError as exc:
-                raise DataError(f"cannot decode {path}: {exc}") from exc
-        names = header.strip().split(",")
-        if len(names) < 2 or names[0] != "t":
-            raise DataError(f"{path}: line 1: expected a header starting with t")
-        if isinstance(column, str):
-            if column not in names:
-                raise DataError(f"{path}: line 1: no column named {column!r} in {names}")
-            idx = names.index(column)
-        else:
-            idx = int(column)
-            if not (1 <= idx < len(names)):
-                raise DataError(f"{path}: line 1: column index {idx} out of range")
-        table = _read_table(body, len(names))
-        if table is not None:
-            times, values = table[:, 0], table[:, idx]
-        else:
-            lines = io.StringIO(body, newline="").readlines()
-            times, values = _parse_lines(path, lines, len(names), idx)
+        times, values = _read_columns(path, column)
         return cls(times=times, concentrations=values, route=route, dose=dose)
+
+
+def _read_columns(path, column: str | int) -> tuple[np.ndarray, np.ndarray]:
+    """The t column and the selected column of the CSV file at path, for
+    from_csv, which copies them only once this returns and the file's
+    bytes are freed."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    # the header line ends at the first CR, LF or CR LF, as readline(newline="") reads it
+    lf = data.find(b"\n", start)
+    cr = data.find(b"\r", start, lf if lf >= 0 else len(data))
+    if cr >= 0:
+        end = cr + (2 if data.startswith(b"\n", cr + 1) else 1)
+    else:
+        end = lf + 1 if lf >= 0 else len(data)
+    header = _decode(path, data, start, end)
+    # a byte-order mark or a header that is not ASCII leaves the body so; the view copies nothing
+    ascii_body = data.isascii() or np.frombuffer(data, np.uint8, offset=end).max(initial=0) < 0x80
+    text = None if ascii_body else _decode(path, data, end, len(data))
+    names = header.strip().split(",")
+    if len(names) < 2 or names[0] != "t":
+        raise DataError(f"{path}: line 1: expected a header starting with t")
+    if isinstance(column, str):
+        if column not in names:
+            raise DataError(f"{path}: line 1: no column named {column!r} in {names}")
+        idx = names.index(column)
+    else:
+        idx = int(column)
+        if not (1 <= idx < len(names)):
+            raise DataError(f"{path}: line 1: column index {idx} out of range")
+    table = _read_table(data, end, text, len(names))
+    if table is not None:
+        return table[:, 0], table[:, idx]
+    lines = io.StringIO(data[end:].decode() if text is None else text, newline="").readlines()
+    return _parse_lines(path, lines, len(names), idx)
+
+
+def _decode(path, data: bytes, begin: int, end: int) -> str:
+    """data[begin:end] as UTF-8 text.  Bytes that are not UTF-8 raise a
+    DataError giving their offset in the file."""
+    try:
+        return str(memoryview(data)[begin:end], "utf-8")
+    except UnicodeDecodeError as exc:
+        where = UnicodeDecodeError(exc.encoding, data, begin + exc.start, begin + exc.end, exc.reason)
+        raise DataError(f"cannot decode {path}: {where}") from exc
 
 
 # A line _parse_lines skips, with the line break before it: nothing but
 # whitespace (as str.strip sees it; \s and str.isspace agree on every
 # character), then optionally a # and the rest of the line.  The lookahead
 # turns a row away at its first character; it also leaves an empty last
-# line, after the text's final line break, to the caller's rstrip.
-_SKIPPED_LINE = re.compile(r"\n(?=[\s#])[^\S\n]*(?:#[^\n]*)?(?![^\n])")
-
-# Characters str.strip takes for whitespace and np.loadtxt skips around a
-# number, but float() refuses.
-_SEPARATORS = "\x1c\x1d\x1e\x1f"
+# line, after the final line break, alone.  _SKIPPED_TEXT reads decoded
+# text, _SKIPPED_LINE the same lines in ASCII bytes, where \s is spelled
+# out (a bytes pattern's \s leaves out \x1c to \x1f).
+_SKIPPED_TEXT = re.compile(r"\n(?=[\s#])[^\S\n]*(?:#[^\n]*)?(?![^\n])")
+_SKIPPED_LINE = re.compile(rb"\n(?=[\s\x1c-\x1f#])[ \t\r\x0b\x0c\x1c-\x1f]*(?:#[^\n]*)?(?![^\n])")
 
 # The ASCII characters str.strip takes for whitespace, line ends apart.
-_ASCII_BLANKS = " \t\x0b\x0c" + _SEPARATORS
+# np.loadtxt skips the separators around a number, but float() refuses them.
+_SEPARATORS = b"\x1c\x1d\x1e\x1f"
+_BLANKS = b" \t\x0b\x0c" + _SEPARATORS
 
 
-def _read_table(body: str, width: int) -> np.ndarray | None:
-    """The rows of a CSV body as np.loadtxt reads them, or None when the
-    body holds anything on which that could differ from _parse_lines.
+def _read_table(data: bytes, begin: int, text: str | None, width: int) -> np.ndarray | None:
+    """The rows of the CSV body data[begin:] as np.loadtxt reads them, or
+    None when the body holds anything on which that could differ from
+    _parse_lines.  text is the body decoded, given when it is not ASCII.
 
-    Comment and whitespace-only lines are cut out of the text, from the
-    line of the first # or whitespace character on (the whole body if it
-    is not ASCII), so a clean body is not scanned line by line.  Empty
-    lines before that are left to np.loadtxt, which skips them.  A table is
-    returned only if every other line became one row of width fields, so
-    no line was skipped or split.
+    np.loadtxt reads the bytes where they lie, and skips empty lines and
+    lines that start with # itself.  The skipped lines it would read as
+    rows, those that start with a blank, are cut out first, and every
+    skipped line of a body that is not ASCII is cut out of its text.  The
+    lines before the first # or blank are rows or empty, so a clean body
+    is not scanned line by line.  A table is returned only if every other
+    line became one row of width fields, so no line was skipped or split.
     """
-    if "\r" in body:
-        body = body.replace("\r\n", "\n")
-        if "\r" in body:
-            return None
-    marks = [at for at in map(body.find, "#" + _ASCII_BLANKS) if at >= 0] if body.isascii() else [0]
+    if data.find(b"\r", begin - 1) >= 0 and data.count(b"\r", begin - 1) != data.count(b"\r\n", begin - 1):
+        return None  # a lone CR, in the body or ending the header
+    if text is not None:
+        data, begin = _SKIPPED_TEXT.sub("", "\n" + text).encode(), 1
+    # from here on data[begin - 1] is a line break, unless the body is empty
+    at = begin - 1
+    while skipped := _SKIPPED_LINE.match(data, at):
+        at = skipped.end()
+    if at + 1 >= len(data):
+        return None  # no row
+    marks = [i for i in (data.find(mark, begin) for mark in b"#" + _BLANKS) if i >= 0]
+    spans = []
     if marks:
-        # lines before this one are rows or empty
-        start = body.rfind("\n", 0, min(marks)) + 1
-        body = body[:start] + _SKIPPED_LINE.sub("", "\n" + body[start:])[1:]
-        if "#" in body:
-            return None
-    body = body.rstrip("\n")  # the final line end and trailing empty lines
-    if not body or any(ch in body for ch in _SEPARATORS):
-        return None
+        first = min(marks)
+        spans = [m.span() for m in _SKIPPED_LINE.finditer(data, data.rfind(b"\n", 0, first))]
+        if data.count(b"#", first) != sum(data.count(b"#", a, b) for a, b in spans):
+            return None  # a # inside a row
+        if any(data[a + 1] in _BLANKS for a, b in spans if b > a + 1) or any(
+            data.find(sep, first) >= 0 for sep in _SEPARATORS
+        ):
+            # np.loadtxt would read such a line as a row, or read past a separator
+            data, spans = _SKIPPED_LINE.sub(b"", data), []
+            if any(data.find(sep, begin) >= 0 for sep in _SEPARATORS):
+                return None
+    stream = io.BytesIO(data)  # shares data's buffer until written to, which it is not
+    stream.seek(begin)
     try:
-        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        table = np.loadtxt(stream, delimiter=",", comments="#", ndmin=2, encoding="utf-8")
     except ValueError:
         return None
-    lines = body.count("\n") + 1
-    if len(table) != lines:
-        lines -= len(_SKIPPED_LINE.findall("\n" + body))  # the empty lines left
-    return table if table.shape == (lines, width) else None
+    lines = data.count(b"\n", begin) + (not data.endswith(b"\n"))
+    rows = lines - len(spans)
+    if len(table) != rows:
+        rows = lines - len(_SKIPPED_LINE.findall(data, begin - 1))  # the empty lines before the first mark too
+    return table if table.shape == (rows, width) else None
 
 
 def _parse_lines(path, lines: list[str], width: int, idx: int) -> tuple[np.ndarray, np.ndarray]:
@@ -199,18 +243,15 @@ class FitResult:
     alternate: PkParams | None = None
 
 
-def _formed_jacobian(columns, factors, k_a, k_e, amplitude) -> np.ndarray:
+def _formed_jacobian(columns, n: int, factors, k_a, k_e, amplitude) -> np.ndarray:
     """The (n, p) array whose column j is channel._model's derivative
     column j times factor j: ones give the raw Jacobian, the parameters
     themselves the Jacobian in log-parameter space.  A column whose sum of
     squares is 0 (a zero column), or inf or nan (one that is not finite, or
     whose squares under- or overflow), is refused with a ConvergenceError."""
-    cols = columns()
-    if not all(0.0 < float(col @ col) < math.inf for col in cols):
+    out = np.empty((n, len(factors)))
+    if not all(0.0 < ss < math.inf for ss in columns(out, factors)):
         raise ConvergenceError(f"Jacobian cannot be formed at k_a={k_a!r}, k_e={k_e!r}, amplitude={amplitude!r}")
-    out = np.empty((cols[0].size, len(cols)))
-    for j, (col, factor) in enumerate(zip(cols, factors)):
-        np.multiply(col, factor, out=out[:, j])
     return out
 
 
@@ -230,7 +271,8 @@ def jacobian(route: Route, t, k_e: float, amplitude: float, k_a: float | None = 
     Columns follow parameter order: (k_a, k_e, amplitude) for
     extravascular, (k_e, amplitude) for intravenous.
     """
-    return _formed_jacobian(_model(route, t, k_e, amplitude, k_a)[1], (1.0, 1.0, 1.0), k_a, k_e, amplitude)
+    factors = (1.0, 1.0, 1.0) if route is Route.EXTRAVASCULAR else (1.0, 1.0)
+    return _formed_jacobian(_model(route, t, k_e, amplitude, k_a)[1], np.size(t), factors, k_a, k_e, amplitude)
 
 
 def _build_result(
@@ -366,7 +408,7 @@ def fit_least_squares(
         prediction, columns = _model(data.route, t, k_e, amp, k_a)
         # chain rule: d/d(log p) = p * d/dp
         factors = (k_a, k_e, amp) if ev else (k_e, amp)
-        return prediction - c, lambda: _formed_jacobian(columns, factors, k_a, k_e, amp)
+        return prediction - c, lambda: _formed_jacobian(columns, t.size, factors, k_a, k_e, amp)
 
     def damped_trial(normal, gradient, mu):
         """(parameters, residual, Jacobian function, rss, step) of the step
@@ -396,6 +438,8 @@ def fit_least_squares(
         j_log = jacobian_at()
         gradient = j_log.T @ r
         normal = j_log.T @ j_log
+        # the trials need only these two: drop the grid-length arrays first
+        del j_log, r, jacobian_at
         for _ in range(MAX_REJECTED_STEPS):
             accepted = damped_trial(normal, gradient, mu)
             if accepted is not None:
@@ -406,6 +450,7 @@ def fit_least_squares(
                 f"residual failed to decrease for {MAX_REJECTED_STEPS} consecutive damped steps"
             )
         theta, r, jacobian_at, rss, step = accepted
+        del accepted  # r and jacobian_at are dropped before the next trials
         mu = max(mu / 3.0, 1e-12)
         if float(np.max(np.abs(step))) < STEP_TOLERANCE:
             break

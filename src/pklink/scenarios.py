@@ -27,9 +27,11 @@ from .testbed import PlatformConfig, plan_flows, plan_volumes
 
 SCENARIO_DIR_ENV = "MOCOBO_SCENARIO_DIR"
 
-# Largest scenario grid, in samples.  The engines hold several float arrays
-# of the grid's length, so 10**8 samples already take gigabytes; a larger
-# grid is refused as a usage error before anything is allocated.
+# Largest scenario grid, in samples.  At its peak simulate holds nine float
+# arrays of the grid's length (two engines' curves, and the twin's input,
+# jumps, three states and two scan buffers), so 10**8 samples already take
+# 7.2 GB; a larger grid is refused as a usage error before anything is
+# allocated.
 MAX_GRID_SAMPLES = 10**8
 
 

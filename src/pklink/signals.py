@@ -77,10 +77,6 @@ class SampledSignal:
     def end_time(self) -> float:
         return self.t0 + self.dt * (self.samples.size - 1)
 
-    def energy(self) -> float:
-        """Time-domain energy: sum of squared samples scaled by dt."""
-        return float(np.sum(self.samples**2) * self.dt)
-
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
@@ -88,11 +84,6 @@ class Spectrum:
 
     omega: np.ndarray
     values: np.ndarray
-
-    def energy(self) -> float:
-        """Frequency-domain energy: (1/2pi) * sum |X|^2 * domega."""
-        domega = float(abs(self.omega[1] - self.omega[0])) if self.omega.size > 1 else 1.0
-        return float(np.sum(np.abs(self.values) ** 2) * domega / (2.0 * np.pi))
 
 
 def sample(f, t0: float, dt: float, n: int, role: SignalRole = SignalRole.CONCENTRATION) -> SampledSignal:
@@ -376,14 +367,16 @@ def rk4_linear(M, b, dt: float, u: np.ndarray, jumps: np.ndarray | None = None) 
     z3 = z2 @ z
     P = eye + z + z2 / 2.0 + z3 / 6.0 + (z3 @ z) / 24.0
     q = dt * ((eye + z / 2.0 + z2 / 6.0 + z3 / 24.0) @ b)
-    drive = np.zeros((len(b), len(u) + 1))
-    drive[:, 1:] = np.outer(q, u)
-    if jumps is not None:
-        drive += np.outer(b, jumps)
-    x = np.empty_like(drive)
+    x = np.empty((len(b), len(u) + 1))
     for k in range(len(b)):
-        drive[k, 1:] += P[k, :k] @ x[:k, :-1]
-        x[k] = first_order_scan(drive[k], P[k, k])
+        # state k's drive, built in its own row: q[k] u shifted one step, b[k] jumps, and the states above
+        drive = x[k]
+        drive[0] = 0.0
+        np.multiply(q[k], u, out=drive[1:])
+        if jumps is not None:
+            drive += b[k] * jumps
+        drive[1:] += P[k, :k] @ x[:k, :-1]
+        x[k] = first_order_scan(drive, P[k, k])
     return x
 
 
@@ -443,7 +436,8 @@ def integrate_ode(
     rates = np.zeros(n_steps)
     rates[: len(u)] = u.samples[:n_steps]
     central = rk4_linear(M, b, dt, rates, jumps)[-1]
-    return SampledSignal(t0=u.t0, dt=dt, samples=central / params.V, role=SignalRole.CONCENTRATION)
+    central /= params.V
+    return SampledSignal(t0=u.t0, dt=dt, samples=central, role=SignalRole.CONCENTRATION)
 
 
 def spectrum(x: SampledSignal) -> Spectrum:

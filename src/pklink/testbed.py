@@ -52,7 +52,12 @@ class PlatformConfig:
 
 @dataclass(frozen=True, eq=False)
 class PlatformTrace:
-    """Simulated vessel concentrations plus mass bookkeeping on a uniform grid."""
+    """Simulated vessel concentrations plus mass bookkeeping on a uniform grid.
+
+    The trace holds read-only float arrays.  An array given writeable, such
+    as a caller's own, is copied, so changing it later leaves the trace as
+    it was; a read-only float array is held as it is.
+    """
 
     t0: float
     dt: float
@@ -65,7 +70,9 @@ class PlatformTrace:
     def __post_init__(self):
         n = len(self.c_a)
         for name in ("c_a", "c_b", "excreta_mass", "input_mass"):
-            arr = np.array(getattr(self, name), dtype=float)
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.flags.writeable:
+                arr = arr.copy()
             if arr.ndim != 1 or arr.size != n:
                 raise DomainError("trace arrays must be 1-D and equally long")
             arr.setflags(write=False)
@@ -138,19 +145,17 @@ def simulate_platform(
     re = config.elimination_rate
     M = [[-ra, 0.0, 0.0], [ra, -re, 0.0], [0.0, re, 0.0]]
     b = [1.0, 0.0, 0.0] if config.route is Route.EXTRAVASCULAR else [0.0, 1.0, 0.0]
-    a, central, excreta = rk4_linear(M, b, dt, rate, jumps)
-    delivered = jumps.copy()
-    delivered[1:] += dt * rate
-
-    return PlatformTrace(
-        t0=0.0,
-        dt=dt,
-        c_a=a / config.V_a,
-        c_b=central / config.V_b,
-        excreta_mass=excreta,
-        input_mass=np.cumsum(delivered),
-        config=config,
-    )
+    states = rk4_linear(M, b, dt, rate, jumps)
+    states[0] /= config.V_a
+    states[1] /= config.V_b
+    # jumps becomes the mass delivered by each grid time
+    jumps[1:] += dt * rate
+    np.cumsum(jumps, out=jumps)
+    # read-only, so the trace holds them without a copy
+    states.setflags(write=False)
+    jumps.setflags(write=False)
+    c_a, c_b, excreta = states
+    return PlatformTrace(t0=0.0, dt=dt, c_a=c_a, c_b=c_b, excreta_mass=excreta, input_mass=jumps, config=config)
 
 
 def mass_audit(trace: PlatformTrace) -> float:

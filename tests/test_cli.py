@@ -30,6 +30,7 @@ from pklink.channel import (
     peak_time,
 )
 from pklink.cli import COMMANDS, CSV_BLOCK_ROWS, build_parser, main, run_simulate
+from pklink.errors import ConfigurationError
 from pklink.scenarios import builtin_scenarios, resolve_scenario
 
 from conftest import BENCH_DOSE, BENCH_K_A, BENCH_K_E, BENCH_V
@@ -471,6 +472,19 @@ def test_simulate_engines_agree_on_a_bolus():
     _, deviations = run_simulate(bolus)
     assert deviations["analytic_ode"] <= 1e-9
     assert deviations["analytic_platform"] <= 1e-9
+
+
+def test_integrating_engines_refuse_an_infusion_past_the_grid():
+    # bench-ev's grid ends at 8000 s, so an infusion from 7995 s for 5.6 s
+    # rounds to steps 7995 to 8001, one past the last; both integrating
+    # engines lay infusions on the grid's n - 1 steps and refuse it alike,
+    # where the ODE engine used to drop that step and return a curve
+    scenario = resolve_scenario("bench-ev")
+    late = dataclasses.replace(scenario, doses=DoseSchedule(events=(DoseEvent(time=7995.0, mass=130.0, duration=5.6),)))
+    for engine in ("ode", "platform"):
+        with pytest.raises(ConfigurationError, match=re.escape("dose over [7995.0, 8000.6] falls outside the signal grid")):
+            cli.run_engine(late, engine)
+    assert len(cli.run_engine(late, "analytic")) == scenario.grid_size()
 
 
 @pytest.mark.parametrize("dt, horizon", [(None, None), (0.5, None), (None, 8191.0)])

@@ -10,6 +10,7 @@ from pklink.errors import ConfigurationError, DomainError
 from pklink.signals import SampledSignal, SignalRole, dose_rate_signal, integrate_ode, split_doses
 from pklink.testbed import (
     PlatformConfig,
+    PlatformTrace,
     mass_audit,
     plan_flows,
     plan_volumes,
@@ -155,6 +156,22 @@ def test_empty_schedule_audits_cleanly():
     assert mass_audit(trace) == 0.0
     assert np.all(trace.c_b == 0.0)
 
+
+
+def test_trace_holds_its_own_arrays_and_copies_writeable_ones():
+    trace = simulate_platform(_bench_config(Route.EXTRAVASCULAR), DoseSchedule(events=(DoseEvent(0.0, 10.0),)), 1.0, 100.0)
+    arrays = (trace.c_a, trace.c_b, trace.excreta_mass, trace.input_mass)
+    assert not any(arr.flags.writeable for arr in arrays)
+    # read-only arrays are held as they are; a caller's writeable ones are copied
+    fields = dict(c_a=trace.c_a, c_b=trace.c_b, excreta_mass=trace.excreta_mass, input_mass=trace.input_mass)
+    held = PlatformTrace(t0=0.0, dt=1.0, config=trace.config, **fields)
+    assert all(getattr(held, name) is arr for name, arr in fields.items())
+    own = {name: arr.copy() for name, arr in fields.items()}
+    copied = PlatformTrace(t0=0.0, dt=1.0, config=trace.config, **own)
+    for arr in own.values():
+        arr[:] = -1.0
+    assert all(np.array_equal(getattr(copied, name), fields[name]) for name in fields)
+    assert mass_audit(copied) == mass_audit(trace)
 
 def _rk4_reference(M, b, dt, u, jumps):
     """Generic classical RK4 step loop for x' = M x + b u, jumps added along b."""
