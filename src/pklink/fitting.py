@@ -16,7 +16,6 @@ from __future__ import annotations
 import codecs
 import io
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,14 +68,14 @@ class ConcentrationSeries:
         malformed rows also name the line; undecodable bytes are located
         by their offset in the file.
 
-        The file is read once, as bytes, and the body is converted in one
-        pass over those bytes: np.loadtxt reads it where the header ends,
-        skipping empty lines and lines that start with #.  Other skipped
-        lines (whitespace only, or an indented comment) are cut out first;
-        only a body that is not ASCII is decoded, for that cut.  A body
-        that pass declines (lone CR line ends, a # inside a row, a field
-        np.loadtxt rejects) goes through the line-by-line reader, which
-        gives the same values or names the first bad line.
+        The file is read once, as bytes.  np.loadtxt converts the body in
+        one pass over those bytes, where the header ends, only when it is
+        ASCII and nothing in it can read differently: no lone CR, no # but
+        at the start of a line, no byte in \\x1c-\\x1f, and at least one
+        row.  Any other body, and one np.loadtxt rejects (a line of
+        whitespace only, a malformed row), goes through the line-by-line
+        reader, which gives the same values or names the first bad line; a
+        body that is not ASCII is decoded once, for that reader.
         """
         times, values = _read_columns(path, column)
         return cls(times=times, concentrations=values, route=route, dose=dose)
@@ -102,7 +101,7 @@ def _read_columns(path, column: str | int) -> tuple[np.ndarray, np.ndarray]:
     header = _decode(path, data, start, end)
     # a byte-order mark or a header that is not ASCII leaves the body so; the view copies nothing
     ascii_body = data.isascii() or np.frombuffer(data, np.uint8, offset=end).max(initial=0) < 0x80
-    text = None if ascii_body else _decode(path, data, end, len(data))
+    text = None if ascii_body else _decode(path, data, end, len(data))  # for the line loop
     names = header.strip().split(",")
     if len(names) < 2 or names[0] != "t":
         raise DataError(f"{path}: line 1: expected a header starting with t")
@@ -114,7 +113,7 @@ def _read_columns(path, column: str | int) -> tuple[np.ndarray, np.ndarray]:
         idx = int(column)
         if not (1 <= idx < len(names)):
             raise DataError(f"{path}: line 1: column index {idx} out of range")
-    table = _read_table(data, end, text, len(names))
+    table = None if text is not None else _read_table(data, end, len(names))
     if table is not None:
         return table[:, 0], table[:, idx]
     lines = io.StringIO(data[end:].decode() if text is None else text, newline="").readlines()
@@ -131,70 +130,35 @@ def _decode(path, data: bytes, begin: int, end: int) -> str:
         raise DataError(f"cannot decode {path}: {where}") from exc
 
 
-# A line _parse_lines skips, with the line break before it: nothing but
-# whitespace (as str.strip sees it; \s and str.isspace agree on every
-# character), then optionally a # and the rest of the line.  The lookahead
-# turns a row away at its first character; it also leaves an empty last
-# line, after the final line break, alone.  _SKIPPED_TEXT reads decoded
-# text, _SKIPPED_LINE the same lines in ASCII bytes, where \s is spelled
-# out (a bytes pattern's \s leaves out \x1c to \x1f).
-_SKIPPED_TEXT = re.compile(r"\n(?=[\s#])[^\S\n]*(?:#[^\n]*)?(?![^\n])")
-_SKIPPED_LINE = re.compile(rb"\n(?=[\s\x1c-\x1f#])[ \t\r\x0b\x0c\x1c-\x1f]*(?:#[^\n]*)?(?![^\n])")
-
-# The ASCII characters str.strip takes for whitespace, line ends apart.
-# np.loadtxt skips the separators around a number, but float() refuses them.
-_SEPARATORS = b"\x1c\x1d\x1e\x1f"
-_BLANKS = b" \t\x0b\x0c" + _SEPARATORS
-
-
-def _read_table(data: bytes, begin: int, text: str | None, width: int) -> np.ndarray | None:
-    """The rows of the CSV body data[begin:] as np.loadtxt reads them, or
-    None when the body holds anything on which that could differ from
-    _parse_lines.  text is the body decoded, given when it is not ASCII.
-
-    np.loadtxt reads the bytes where they lie, and skips empty lines and
-    lines that start with # itself.  The skipped lines it would read as
-    rows, those that start with a blank, are cut out first, and every
-    skipped line of a body that is not ASCII is cut out of its text.  The
-    lines before the first # or blank are rows or empty, so a clean body
-    is not scanned line by line.  A table is returned only if every other
-    line became one row of width fields, so no line was skipped or split.
-    """
-    if data.find(b"\r", begin - 1) >= 0 and data.count(b"\r", begin - 1) != data.count(b"\r\n", begin - 1):
+def _read_table(data: bytes, begin: int, width: int) -> np.ndarray | None:
+    """The rows of the ASCII CSV body data[begin:] as np.loadtxt reads
+    them, or None when the body holds anything on which that could differ
+    from _parse_lines: a lone CR, a # that does not start a line, a byte
+    in \\x1c-\\x1f, or no row (a line that is neither empty nor starts
+    with #).  Both skip empty lines and lines that start with #; a line
+    of whitespace only, which _parse_lines skips, np.loadtxt refuses as a
+    row of one field, so a table of width columns holds every row."""
+    cr = data.find(b"\r", begin - 1)
+    if cr >= 0 and data.count(b"\r", cr) != data.count(b"\r\n", cr):
         return None  # a lone CR, in the body or ending the header
-    if text is not None:
-        data, begin = _SKIPPED_TEXT.sub("", "\n" + text).encode(), 1
     # from here on data[begin - 1] is a line break, unless the body is empty
-    at = begin - 1
-    while skipped := _SKIPPED_LINE.match(data, at):
-        at = skipped.end()
-    if at + 1 >= len(data):
+    mark = data.find(b"#", begin)
+    if mark >= 0 and data.count(b"#", mark) != data.count(b"\n#", mark - 1):
+        return None  # a # inside a line
+    if any(data.find(sep, begin) >= 0 for sep in b"\x1c\x1d\x1e\x1f"):
+        return None  # whitespace to str.strip, around a number to np.loadtxt, but not to float()
+    at = begin
+    while at < len(data) and data[at] in b"\r\n#":  # an empty line (CR LF, with no lone CR) or a comment
+        at = data.find(b"\n", at) + 1 or len(data)
+    if at == len(data):
         return None  # no row
-    marks = [i for i in (data.find(mark, begin) for mark in b"#" + _BLANKS) if i >= 0]
-    spans = []
-    if marks:
-        first = min(marks)
-        spans = [m.span() for m in _SKIPPED_LINE.finditer(data, data.rfind(b"\n", 0, first))]
-        if data.count(b"#", first) != sum(data.count(b"#", a, b) for a, b in spans):
-            return None  # a # inside a row
-        if any(data[a + 1] in _BLANKS for a, b in spans if b > a + 1) or any(
-            data.find(sep, first) >= 0 for sep in _SEPARATORS
-        ):
-            # np.loadtxt would read such a line as a row, or read past a separator
-            data, spans = _SKIPPED_LINE.sub(b"", data), []
-            if any(data.find(sep, begin) >= 0 for sep in _SEPARATORS):
-                return None
     stream = io.BytesIO(data)  # shares data's buffer until written to, which it is not
     stream.seek(begin)
     try:
         table = np.loadtxt(stream, delimiter=",", comments="#", ndmin=2, encoding="utf-8")
     except ValueError:
         return None
-    lines = data.count(b"\n", begin) + (not data.endswith(b"\n"))
-    rows = lines - len(spans)
-    if len(table) != rows:
-        rows = lines - len(_SKIPPED_LINE.findall(data, begin - 1))  # the empty lines before the first mark too
-    return table if table.shape == (rows, width) else None
+    return table if table.shape[1] == width else None
 
 
 def _parse_lines(path, lines: list[str], width: int, idx: int) -> tuple[np.ndarray, np.ndarray]:

@@ -29,6 +29,7 @@ from .signals import (
     SampledSignal,
     SignalRole,
     TikhonovSolve,
+    _integer,
     deconvolve,
     sample,
     sampled_kernel,
@@ -461,6 +462,8 @@ def ber_sweep(
     order; the same per-frame noise realization is reused for every sigma
     (scaled draws) to keep the sweep comparable point to point.  Frames
     whose preamble cannot be found count all payload bits as errors.
+    n_frames and payload_length must be integers of at least 1, or a
+    DomainError names the argument.
 
     The Receiver is built once per call.  Each clean frame is the sum, in
     slot order, of per-slot pulses sampled once; each frame's noise is
@@ -472,8 +475,8 @@ def ber_sweep(
     to the rounding of the window sums, which can flip only a decision
     whose window sum lies within that rounding of the threshold.
     """
-    if n_frames < 1:
-        raise DomainError("n_frames must be >= 1")
+    n_frames = _integer("n_frames", n_frames, minimum=1)
+    payload_length = _integer("payload_length", payload_length, minimum=1)
     if dt is None:
         dt = config.symbol_period / 100.0
     rate_floor = params.k_e if config.route is Route.INTRAVENOUS else min(params.require_k_a(), params.k_e)

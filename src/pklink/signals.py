@@ -226,6 +226,16 @@ def convolve(x: SampledSignal, h: SampledSignal) -> SampledSignal:
     )
 
 
+def _integer(name: str, value, minimum: float = -math.inf) -> int:
+    """value as an int.  A value that is not an integer (a float or a
+    bool), or is below minimum, raises a DomainError naming the argument."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if (n := operator.index(value)) < minimum:
+        raise DomainError(f"{name} must be >= {minimum}")
+    return n
+
+
 def deconvolve(
     y: SampledSignal,
     h: SampledSignal,
@@ -246,15 +256,7 @@ def deconvolve(
     if method != "frequency":
         raise DomainError(f"unknown deconvolution method {method!r}")
     _check_dt_match(y, h)
-    if output_length is None:
-        n_out = len(y) - len(h) + 1
-    else:
-        try:
-            n_out = operator.index(output_length)
-        except TypeError:
-            n_out = None
-        if n_out is None or isinstance(output_length, bool):
-            raise DomainError(f"output_length must be an integer, got {output_length!r}")
+    n_out = len(y) - len(h) + 1 if output_length is None else _integer("output_length", output_length)
     if n_out < 1:
         raise ConfigurationError("deconvolution output would be empty (kernel longer than signal)")
     if n_out > len(y):
@@ -433,8 +435,9 @@ def integrate_ode(
     else:
         ka = params.require_k_a()
         M, b = [[-ka, 0.0], [ka, -ke]], [params.F, 0.0]
-    rates = np.zeros(n_steps)
-    rates[: len(u)] = u.samples[:n_steps]
+    rates = u.samples[:n_steps]  # rk4_linear only reads its input
+    if len(rates) < n_steps:
+        rates = np.pad(rates, (0, n_steps - len(rates)))
     central = rk4_linear(M, b, dt, rates, jumps)[-1]
     central /= params.V
     return SampledSignal(t0=u.t0, dt=dt, samples=central, role=SignalRole.CONCENTRATION)

@@ -3,6 +3,7 @@
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +74,7 @@ def _reference_rows(path, idx):
     """The line loop from_csv is held to: the arrays of t and column idx,
     or the number of the first line it rejects."""
     times, values = [], []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         width = len(fh.readline().strip().split(","))
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -98,6 +99,8 @@ def _numeral(x: float, form: int) -> str:
         return f" {text}\t"
     if form == 3:
         return f"{x:.6e}"
+    if form == 7:  # whitespace to float(), not ASCII
+        return f"\xa0{text}\xa0"
     return text
 
 
@@ -110,15 +113,16 @@ def _row(draw, t: float, width: int, forms: list[int]) -> list[str]:
 
 
 def _mixed_body(draw, width: int) -> list[str]:
-    """Up to 12 lines: rows in every spelling, comments, blanks, bad rows."""
+    """Up to 12 lines: rows in every spelling, comments, blanks, bad rows,
+    some of them not ASCII."""
     lines = []
     t = 0.0
     for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(["row"] * 6 + ["comment", "blank", "bad", "width", "note", "short-long"]))
         if kind == "comment":
-            lines.append(draw(st.sampled_from(["# note", "   # indented", "#", "#1.0,2.0"])))
+            lines.append(draw(st.sampled_from(["# note", "   # indented", "#", "#1.0,2.0", "# µg/mL"])))
         elif kind == "blank":
-            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            lines.append(draw(st.sampled_from(["", "  ", "\t", "\u3000", "\xa0"])))
         elif kind == "short-long":  # two rows whose field counts still add up
             t += draw(st.floats(0.5, 100.0))
             lines.append(",".join(_row(draw, t, width, [0])[:-1]))
@@ -126,7 +130,7 @@ def _mixed_body(draw, width: int) -> list[str]:
             lines.append(",".join(_row(draw, t, width, [0]) + ["0.0"]))
         else:
             t += draw(st.floats(0.5, 100.0))
-            parts = _row(draw, t, width, list(range(7)))
+            parts = _row(draw, t, width, list(range(8)))
             if kind == "bad":
                 parts[draw(st.integers(0, width - 1))] = draw(_bad_fields)
             elif kind == "width":
@@ -152,7 +156,7 @@ def _clean_body(draw, width: int) -> list[str]:
             t += draw(st.floats(0.5, 100.0))
             lines.append(",".join(_row(draw, t, width, [0, 2, 3])))
     at = draw(st.integers(0, len(lines) - 1))
-    flaw = draw(st.sampled_from(["none", "none", "hash", "separator", "comment", "blank", "short-long",
+    flaw = draw(st.sampled_from(["none", "none", "hash", "separator", "nbsp", "comment", "blank", "short-long",
                                  "lone-cr", "trailing-blank"]))
     if flaw == "hash":  # a # inside one value
         line = lines[at]
@@ -163,14 +167,21 @@ def _clean_body(draw, width: int) -> list[str]:
         j = draw(st.integers(0, width - 1))
         parts[j] = draw(st.sampled_from(["\x1c", "\x1f"])) + parts[j]
         lines[at] = ",".join(parts)
+    elif flaw == "nbsp":  # whitespace to float(), not ASCII
+        parts = lines[at].split(",")
+        j = draw(st.integers(0, width - 1))
+        parts[j] = f"\xa0{parts[j]}\xa0"
+        lines[at] = ",".join(parts)
     elif flaw == "comment":
-        lines.insert(at, draw(st.sampled_from(["# note", "  # indented", "#"])))
+        lines.insert(at, draw(st.sampled_from(["# note", "  # indented", "#", "# µg/mL"])))
     elif flaw == "blank":
-        lines.insert(at, draw(st.sampled_from(["", " "])))
+        lines.insert(at, draw(st.sampled_from(["", " ", "\u3000", "\xa0"])))
     elif flaw == "short-long" and at + 1 < len(lines):
         short, long = lines[at].split(","), lines[at + 1].split(",")
         lines[at : at + 2] = [",".join(short[:-1]), ",".join(long + [short[-1]])]
     elif flaw == "lone-cr":  # marked here, made a line end by _csv_files
+        if draw(st.booleans()):  # np.loadtxt would read the next line as part of this comment
+            lines.insert(at, "# note")
         lines[at] += "\r"
     elif flaw == "trailing-blank":
         lines += draw(st.sampled_from([[""], ["", ""], [" "]]))
@@ -183,6 +194,8 @@ def _csv_files(draw):
     one that the one-pass reader takes unless its one flaw declines it."""
     width = draw(st.integers(2, 3))
     header = "t," + ",".join(f"c{j}" for j in range(1, width))
+    if draw(st.integers(0, 9)) == 0:  # every row a field short of the header
+        header += ",extra"
     if draw(st.booleans()):
         lines = [header] + _clean_body(draw, width)
         end = draw(st.sampled_from(["\n", "\r\n"]))
@@ -220,6 +233,21 @@ def test_csv_reader_matches_the_line_loop(case):
     assert series.concentrations.tobytes() == expected[1].tobytes()
 
 
+def test_bodies_np_loadtxt_would_misread_go_to_the_line_loop(tmp_path):
+    path = tmp_path / "curve.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns on a body without rows
+        path.write_bytes(b"t,c\n# no rows\n\n")
+        with pytest.raises(DataError, match="at least 3 points, got 0"):
+            ConcentrationSeries.from_csv(path, Route.INTRAVENOUS, 10.0)
+        path.write_bytes(b"t,c\n1.0,2.0\n2.0,3.0#x\n3.0,4.0\n")  # np.loadtxt would read 3.0
+        with pytest.raises(DataError, match=": line 3: "):
+            ConcentrationSeries.from_csv(path, Route.INTRAVENOUS, 10.0)
+        path.write_bytes(b"t,c\n# note\r1.0,2.0\n2.0,3.0\n3.0,4.0\n")  # np.loadtxt would skip 1.0,2.0
+        series = ConcentrationSeries.from_csv(path, Route.INTRAVENOUS, 10.0)
+    assert series.times.tolist() == [1.0, 2.0, 3.0]
+
+
 def _with_blank_lines(body: str, blanks: list[str]) -> str:
     """body with the lines blanks between its rows, 250 rows apart."""
     rows = body.splitlines(keepends=True)
@@ -239,17 +267,22 @@ def test_clean_files_take_the_one_pass_reader(tmp_path, monkeypatch):
         "no final line end": ("t,a,b\n" + body.rstrip("\n")).encode(),
         "byte-order mark": ("t,a,b\n" + body).encode("utf-8-sig"),
         "comments": ("t,a,b\n# morning samples\n" + body + "# max_rel_dev analytic_ode=1e-05\n").encode(),
-        # empty lines before the first whitespace character, then
-        # whitespace-only lines, as str.strip sees them
+        "empty lines": ("t,a,b\n\n" + _with_blank_lines(body, ["", "\r"]) + "\n").encode(),
+        # lines of whitespace only, as str.strip sees it, which np.loadtxt
+        # reads as one-field rows, and a body that is not ASCII: the line
+        # loop reads these
         "blank lines": ("t,a,b\n\n" + _with_blank_lines(body, ascii_blanks) + "\n \n").encode(),
         "blank lines, comment": ("t,a,b\n" + _with_blank_lines(body, ascii_blanks) + "# max_rel_dev 1e-05\n").encode(),
         "non-ASCII blank lines": ("t,a,b\n" + _with_blank_lines(body, ["\u3000", "\xa0 \u2028"])).encode(),
     }
-    monkeypatch.setattr(fitting, "_parse_lines", None)  # no line-by-line fallback
+    line_loop = {"blank lines", "blank lines, comment", "non-ASCII blank lines"}
     for name, data in files.items():
-        path = tmp_path / "curve.csv"
-        path.write_bytes(data)
-        series = ConcentrationSeries.from_csv(path, Route.EXTRAVASCULAR, BENCH_DOSE, column="a")
+        with monkeypatch.context() as patch:
+            if name not in line_loop:
+                patch.setattr(fitting, "_parse_lines", None)  # no line-by-line fallback
+            path = tmp_path / "curve.csv"
+            path.write_bytes(data)
+            series = ConcentrationSeries.from_csv(path, Route.EXTRAVASCULAR, BENCH_DOSE, column="a")
         assert series.times.tobytes() == t.tobytes(), name
         assert series.concentrations.tobytes() == c.tobytes(), name
 

@@ -1,6 +1,7 @@
 """On-off keying over the concentration channel: framing through detection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -309,6 +310,22 @@ def test_ber_sweep_matches_the_frame_by_frame_golden_values(bench_pk, case, expe
     options = {"seed": 7, **options}
     rates = ber_sweep(bench_pk, _link_config(route, pump_rate), GOLDEN_SIGMAS, n_frames=30, **options)
     assert rates == expected
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"payload_length": 0}, "payload_length must be >= 1"),
+        ({"payload_length": -1}, "payload_length must be >= 1"),
+        ({"payload_length": 2.0}, "payload_length must be an integer, got 2.0"),
+        ({"n_frames": 2.5}, "n_frames must be an integer, got 2.5"),
+        ({"n_frames": True}, "n_frames must be an integer, got True"),
+    ],
+)
+def test_ber_sweep_refuses_frame_and_payload_counts_that_are_not_positive_integers(bench_pk, options, message):
+    config = _link_config(Route.INTRAVENOUS)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        ber_sweep(bench_pk, config, [0.1], **{"n_frames": 2, **options})
 
 
 def test_ber_sweep_keeps_the_frame_by_frame_validation(bench_pk):
