@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 
@@ -439,12 +440,16 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every command, or of the one named.
 
     A parser built for one command parses that command's command lines as
     the whole tree does, with the same usage lines, and refuses the other
-    commands as invalid choices.
+    commands as invalid choices.  Each parser is built on first use and
+    reused for the rest of the process, so callers must not change it: a
+    parse leaves no state in it, and its help headings are in the
+    language set when it was built.
     """
     parser = argparse.ArgumentParser(
         prog="pklink",
@@ -467,8 +472,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a run pays for the parser of its own command only; anything else
-    # (no arguments, --help, an unknown word) gets the whole tree's messages
+    # a run pays for the parser of its own command only, once per process;
+    # anything else (no arguments, --help, an unknown word) gets the whole
+    # tree's messages
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)

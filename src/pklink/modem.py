@@ -45,7 +45,8 @@ THRESHOLD_FRACTION = 0.5
 
 # Frames ber_sweep decides as one stack: enough to spread the per-stack
 # costs, few enough that the stack adds little to peak memory (0.6 MB for
-# 5 sigmas on the bench link; 16 frames cost about 1 MB more peak RSS).
+# 5 sigmas on the bench link, beside 0.1 MB for each of the block's clean
+# frames, normals and spikes; 16 frames cost about 1 MB more peak RSS).
 SWEEP_BLOCK_FRAMES = 8
 
 
@@ -195,13 +196,8 @@ def passive_pill_schedule(pill: PassivePill) -> DoseSchedule:
     return DoseSchedule(events=events)
 
 
-def _noisy_rows(clean: np.ndarray, sigmas, spike_prob: float, spike_scale: float, seed) -> np.ndarray:
-    """One noisy copy of clean per sigma, all from a single draw of the seed.
-
-    The draws (normals, then uniforms and exponentials when spike_prob > 0)
-    do not depend on the amplitudes, so row i is exactly what drawing
-    afresh with sigmas[i] would give.
-    """
+def _check_noise(sigmas, spike_prob: float, spike_scale: float) -> np.ndarray:
+    """The noise amplitudes as an array, once each one is known to be valid."""
     sigmas = np.asarray(sigmas, dtype=float)
     for sigma in sigmas:
         if not (math.isfinite(sigma) and sigma >= 0):
@@ -210,21 +206,43 @@ def _noisy_rows(clean: np.ndarray, sigmas, spike_prob: float, spike_scale: float
         raise DomainError(f"spike_prob must lie in [0, 1], got {spike_prob}")
     if not (math.isfinite(spike_scale) and spike_scale >= 0):
         raise DomainError(f"spike_scale must be finite and >= 0, got {spike_scale}")
-    rng = np.random.default_rng(seed)
-    n = len(clean)
-    # a sigma near the largest double overflows; that is refused below
+    return sigmas
+
+
+def _noisy_rows(clean: np.ndarray, sigmas: np.ndarray, spike_prob: float, spike_scale: float, seeds) -> np.ndarray:
+    """Noisy copies of each clean row for every sigma, shape (sigmas, rows, n).
+
+    Row j draws from seeds[j] alone: its normals, then uniforms and
+    exponentials when spike_prob > 0.  The draws do not depend on the
+    amplitudes (checked by _check_noise), so [i, j] is exactly what
+    drawing afresh for row j with sigmas[i] would give.
+    """
+    normals = np.empty_like(clean)
+    spikes = np.zeros_like(clean) if spike_prob > 0 else None
+    noisy = np.empty((len(sigmas),) + clean.shape)
+    n = clean.shape[1]
+    # a sigma or spike_scale near the largest double overflows; that is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        noisy = clean + rng.standard_normal(n) * sigmas[:, np.newaxis]
-        if spike_prob > 0:
-            # nothing reads the generator after the spikes, so skipping their
-            # draws when no sample can spike changes no value
-            spike_at = rng.random(n) < spike_prob
-            noisy += np.where(spike_at, rng.exponential(1.0, n) * spike_scale, 0.0)
-    finite = np.isfinite(noisy).all(axis=1)
+        for j, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            rng.standard_normal(out=normals[j])
+            if spikes is not None:
+                # nothing reads the generator after the spikes, so skipping their
+                # draws when no sample can spike changes no value
+                spike_at = rng.random(n) < spike_prob
+                np.multiply(rng.exponential(1.0, n), spike_scale, out=spikes[j], where=spike_at)
+        np.multiply(normals, sigmas[:, np.newaxis, np.newaxis], out=noisy)
+        noisy += clean
+        if spikes is not None:
+            noisy += spikes
+    finite = np.isfinite(noisy).all(axis=2)
     if not finite.all():
-        spikes = f" and spike_scale {spike_scale!r}" if spike_prob > 0 else ""
-        raise DomainError(f"noise of sigma {float(sigmas[np.argmin(finite)])!r}{spikes} overflows the samples")
-    return np.clip(noisy, 0.0, None)
+        # the first row that overflows, and its first sigma that does
+        row = np.argmin(finite.all(axis=0))
+        sigma = float(sigmas[np.argmin(finite[:, row])])
+        scale = f" and spike_scale {spike_scale!r}" if spike_prob > 0 else ""
+        raise DomainError(f"noise of sigma {sigma!r}{scale} overflows the samples")
+    return np.clip(noisy, 0.0, None, out=noisy)
 
 
 def add_noise(
@@ -248,7 +266,8 @@ def add_noise(
     the helper this function uses.  A sigma or spike_scale so large that
     a noisy sample overflows raises DomainError.
     """
-    noisy = _noisy_rows(x.samples, [sigma], spike_prob, spike_scale, seed)[0]
+    sigmas = _check_noise([sigma], spike_prob, spike_scale)
+    noisy = _noisy_rows(x.samples[np.newaxis], sigmas, spike_prob, spike_scale, [seed])[0, 0]
     return SampledSignal(t0=x.t0, dt=x.dt, samples=noisy, role=x.role)
 
 
@@ -465,15 +484,18 @@ def ber_sweep(
     n_frames and payload_length must be integers of at least 1, or a
     DomainError names the argument.
 
-    The Receiver is built once per call.  Each clean frame is the sum, in
-    slot order, of per-slot pulses sampled once; each frame's noise is
-    drawn once from seed [frame_seed, 1] (the add_noise contract) and
-    scaled for every sigma.  The receiver decides the sigma rows of
-    SWEEP_BLOCK_FRAMES frames at a time as one stack, through its
-    window-sum map: one matrix product, no transform.  The rates are those
-    of add_noise and detect applied frame by frame and sigma by sigma, up
-    to the rounding of the window sums, which can flip only a decision
-    whose window sum lies within that rounding of the threshold.
+    The Receiver is built once per call, and the sweep works on blocks of
+    SWEEP_BLOCK_FRAMES frames.  A block's clean frames start as the sum of
+    the preamble's pulses and gain each payload slot's pulse, in slot
+    order, where the frame's bit is 1; every per-slot pulse is sampled
+    once per call.  Each frame's noise is drawn once from seed
+    [frame_seed, 1] (the add_noise contract) and scaled for every sigma,
+    so the block becomes one stack of sigma x frame rows, which the
+    receiver decides through its window-sum map: one matrix product, no
+    transform.  The rates are those of add_noise and detect applied frame
+    by frame and sigma by sigma, up to the rounding of the window sums,
+    which can flip only a decision whose window sum lies within that
+    rounding of the threshold.
     """
     n_frames = _integer("n_frames", n_frames, minimum=1)
     payload_length = _integer("payload_length", payload_length, minimum=1)
@@ -492,24 +514,25 @@ def ber_sweep(
 
     pulses = [slot_pulse(event) for event in modulate_ook(frame((1,) * payload_length), config)]
     receiver = Receiver(params, config, dt, n, lam)
-
-    def frame_rows(frame_seed: int, payload: np.ndarray) -> np.ndarray:
-        clean = np.zeros(n)
-        for bit, pulse in zip(frame(payload).bits, pulses):
-            if bit:
-                clean += pulse
-        return _noisy_rows(clean, sigmas, spike_prob, spike_scale, [frame_seed, 1])
+    sigmas = _check_noise(sigmas, spike_prob, spike_scale)
+    preamble = sum(pulses[: len(PREAMBLE)])
 
     k = len(sigmas)
-    stack = np.empty((min(n_frames, SWEEP_BLOCK_FRAMES) * k, n))
+
+    def block_errors(frame_seeds: range) -> np.ndarray:
+        # payload bit errors per sigma; a function, so that a block's buffers
+        # are freed before the next block's are built
+        payloads = np.array([np.random.default_rng([s, 0]).integers(0, 2, payload_length) for s in frame_seeds])
+        clean = np.tile(preamble, (len(frame_seeds), 1))
+        for bits, pulse in zip(payloads.astype(bool).T, pulses[len(PREAMBLE) :]):
+            np.add(clean, pulse, out=clean, where=bits[:, np.newaxis])
+        rows = _noisy_rows(clean, sigmas, spike_prob, spike_scale, [[s, 1] for s in frame_seeds])
+        stats, starts = receiver.decide(rows.reshape(-1, n))
+        decisions, held = receiver.payload_decisions(stats, starts, payload_length)
+        wrong = np.count_nonzero(decisions != np.tile(payloads, (k, 1)), axis=1)
+        return np.where(held, wrong, payload_length).reshape(k, len(frame_seeds)).sum(axis=1)
+
     errors = np.zeros(k, dtype=int)
     for first in range(seed, seed + n_frames, SWEEP_BLOCK_FRAMES):
-        frame_seeds = range(first, min(first + SWEEP_BLOCK_FRAMES, seed + n_frames))
-        payloads = np.array([np.random.default_rng([s, 0]).integers(0, 2, payload_length) for s in frame_seeds])
-        for j, (frame_seed, payload) in enumerate(zip(frame_seeds, payloads)):
-            stack[j * k : (j + 1) * k] = frame_rows(frame_seed, payload)
-        stats, starts = receiver.decide(stack[: len(frame_seeds) * k])
-        decisions, held = receiver.payload_decisions(stats, starts, payload_length)
-        wrong = np.count_nonzero(decisions != np.repeat(payloads, k, axis=0), axis=1)
-        errors += np.where(held, wrong, payload_length).reshape(len(frame_seeds), k).sum(axis=0)
+        errors += block_errors(range(first, min(first + SWEEP_BLOCK_FRAMES, seed + n_frames)))
     return [int(e) / (n_frames * payload_length) for e in errors]

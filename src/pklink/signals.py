@@ -351,10 +351,11 @@ def rk4_linear(M, b, dt: float, u: np.ndarray, jumps: np.ndarray | None = None) 
     an impulsive amount added along b at grid point i before the state
     there is recorded; the state starts at zero.  A compartment chain makes
     M, and so P, lower triangular, so the recurrence is solved one state at
-    a time by first_order_scan, driven by the states above it.  Returns
-    the states on the grid, shape (len(b), len(u) + 1).  The step must
-    resolve the fastest rate, dt * max(-M_kk) <= MAX_RATE_PER_STEP,
-    otherwise a configuration error is raised.
+    a time by first_order_scan, driven by the states above it, each into
+    its own row of an array padded to whole scan blocks.  Returns the
+    states on the grid, shape (len(b), len(u) + 1), a view of that array.
+    The step must resolve the fastest rate, dt * max(-M_kk) <=
+    MAX_RATE_PER_STEP, otherwise a configuration error is raised.
     """
     M = np.asarray(M, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -369,20 +370,21 @@ def rk4_linear(M, b, dt: float, u: np.ndarray, jumps: np.ndarray | None = None) 
     z3 = z2 @ z
     P = eye + z + z2 / 2.0 + z3 / 6.0 + (z3 @ z) / 24.0
     q = dt * ((eye + z / 2.0 + z2 / 6.0 + z3 / 24.0) @ b)
-    x = np.empty((len(b), len(u) + 1))
+    n = len(u) + 1
+    x = np.empty((len(b), -(-n // SCAN_BLOCK) * SCAN_BLOCK))
     for k in range(len(b)):
         # state k's drive, built in its own row: q[k] u shifted one step, b[k] jumps, and the states above
-        drive = x[k]
+        drive = x[k, :n]
         drive[0] = 0.0
         np.multiply(q[k], u, out=drive[1:])
         if jumps is not None:
             drive += b[k] * jumps
-        drive[1:] += P[k, :k] @ x[:k, :-1]
-        x[k] = first_order_scan(drive, P[k, k])
-    return x
+        drive[1:] += P[k, :k] @ x[:k, : n - 1]
+        first_order_scan(drive, P[k, k], out=x[k])
+    return x[:, :n]
 
 
-def first_order_scan(d: np.ndarray, p: float) -> np.ndarray:
+def first_order_scan(d: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
     """Solve y[i] = d[i] + p * y[i-1] for a 1-D d, starting from y[-1] = 0.
 
     The samples are cut into blocks of SCAN_BLOCK.  A block's own inputs
@@ -391,7 +393,9 @@ def first_order_scan(d: np.ndarray, p: float) -> np.ndarray:
     into the state each block inherits.  Adding p times that state to the
     block's first input makes every block a recurrence from rest, and one
     product with the lower-triangular matrix T[i, j] = p**(i - j) solves
-    them all.
+    them all.  out, when given, is a contiguous 1-D array of d.size
+    rounded up to a multiple of SCAN_BLOCK; the product is written into
+    it (it may hold d itself), and y is its first d.size entries.
     """
     n = d.size
     blocks = np.zeros((-(-n // SCAN_BLOCK), SCAN_BLOCK))
@@ -403,7 +407,10 @@ def first_order_scan(d: np.ndarray, p: float) -> np.ndarray:
         state.append(own + decay * state[-1])
     blocks[:, 0] += p * np.array(state)
     powers[-1] = 0.0  # the entries above the diagonal
-    return (blocks @ powers[_SCAN_LAG].T).reshape(-1)[:n]
+    if out is None:
+        out = np.empty(blocks.size)
+    np.matmul(blocks, powers[_SCAN_LAG].T, out=out.reshape(blocks.shape))
+    return out[:n]
 
 
 def integrate_ode(

@@ -559,6 +559,57 @@ def test_main_builds_only_the_invoked_command_parser(monkeypatch, capsys):
     assert "invalid choice: 'fit'" in capsys.readouterr().err
 
 
+def test_main_builds_each_command_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    assert main(["scenarios"]) == 0
+    assert built == ["pklink", "pklink scenarios"]
+    assert main(["scenarios", "--out", "-"]) == 0
+    assert main(["plan", "--mode", "orbit"]) == 2
+    assert main(["plan", "--mode", "orbit"]) == 2
+    assert built == ["pklink", "pklink scenarios", "pklink", "pklink plan"]
+    capsys.readouterr()
+
+
+def test_reused_parsers_keep_calls_independent(monkeypatch, capsys):
+    lams = []
+    real_run_link = cli.run_link
+
+    def spy(scenario, engine="analytic", lam=None):
+        lams.append(lam)
+        return real_run_link(scenario, engine, lam)
+
+    monkeypatch.setattr(cli, "run_link", spy)
+    link = ["link", "--scenario", "link-ev"]
+    assert main(link) == 0
+    expected = capsys.readouterr()
+    assert main(link + ["--lam", "0"]) == 0
+    assert main(link) == 0
+    assert lams == [None, 0.0, None]
+    capsys.readouterr()
+    # a refused command line, then a valid one
+    assert main(["link", "--lam", "x"]) == 2
+    assert "argument --lam: invalid float value: 'x'" in capsys.readouterr().err
+    assert main(link) == 0
+    assert capsys.readouterr() == expected
+    # the whole tree's help, then a command; a command's help twice
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: pklink ")
+    assert main(link) == 0
+    assert capsys.readouterr() == expected
+    assert main(["link", "--help"]) == 0
+    help_text = capsys.readouterr()
+    assert main(["link", "--help"]) == 0
+    assert capsys.readouterr() == help_text
+
+
 def _command_flags(name: str) -> list[str]:
     parser = argparse.ArgumentParser()
     COMMANDS[name][2](parser)

@@ -23,7 +23,7 @@ MB = 1e6
 # Traced peaks (bytes) of each call; one float array of the grid takes 0.58 MB.
 FROM_CSV_BUDGET = 3.9 * MB  # the file's 2.1 MB of bytes and the 1.2 MB table
 FIT_BUDGET = 4.8 * MB  # 7 arrays: the model's three, the residual, the Jacobian's three columns
-SIMULATE_BUDGET = 6.1 * MB  # 9 arrays: two engines' curves, the twin's input, jumps, states and scan
+SIMULATE_BUDGET = 5.4 * MB  # 8 arrays: two engines' curves, the twin's input, jumps, states, scan blocks
 
 
 def _traced_peak(call) -> int:

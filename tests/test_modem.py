@@ -24,6 +24,7 @@ from pklink.modem import (
     ModulationConfig,
     PassivePill,
     Receiver,
+    _noisy_rows,
     add_noise,
     ber,
     ber_sweep,
@@ -159,6 +160,20 @@ def test_noise_draws_spikes_only_when_a_sample_can_spike():
         for seed in (0, 7, [3, 1]):
             noisy = add_noise(x, sigma, spike_prob, spike_scale, seed=seed).samples
             assert np.array_equal(noisy, all_three_draws(x.samples, sigma, spike_prob, spike_scale, seed))
+
+
+@pytest.mark.parametrize("spike_prob, spike_scale", [(0.0, 0.0), (0.05, 0.5)])
+def test_block_noise_rows_equal_add_noise_of_each_frame_and_sigma(spike_prob, spike_scale):
+    # ber_sweep draws a block of frames at once; each row must be add_noise's
+    clean = np.abs(np.random.default_rng(5).standard_normal((3, 700)))
+    sigmas = np.array([0.0, 0.1, 2.0])
+    seeds = [[s, 1] for s in (4, 5, 6)]
+    rows = _noisy_rows(clean, sigmas, spike_prob, spike_scale, seeds)
+    assert rows.shape == (len(sigmas),) + clean.shape
+    for j, seed in enumerate(seeds):
+        x = SampledSignal(0.0, 1.0, clean[j], SignalRole.CONCENTRATION)
+        for i, sigma in enumerate(sigmas):
+            assert np.array_equal(rows[i, j], add_noise(x, sigma, spike_prob, spike_scale, seed=seed).samples)
 
 
 def test_noiseless_detection_recovers_the_payload(bench_pk):

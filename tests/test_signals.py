@@ -206,6 +206,18 @@ def test_first_order_scan_matches_a_plain_loop(k_dt, n, seed):
     assert rel_max(first_order_scan(d, p), _scan_loop(d, p)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 1000])
+def test_first_order_scan_writes_into_a_padded_row_holding_its_input(n):
+    # rk4_linear builds each drive in a row padded to whole blocks and scans it in place
+    p = 0.999
+    d = np.random.default_rng(n).standard_normal(n)
+    row = np.zeros(-(-n // SCAN_BLOCK) * SCAN_BLOCK)
+    row[:n] = d
+    y = first_order_scan(row[:n], p, out=row)
+    assert np.shares_memory(y, row) and len(y) == n
+    assert np.array_equal(y, first_order_scan(d, p))
+
+
 @settings(max_examples=30, deadline=None)
 @given(scale=st.floats(min_value=-3.0, max_value=3.0))
 def test_convolution_is_linear(scale):

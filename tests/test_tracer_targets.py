@@ -66,6 +66,8 @@ def test_every_bench_module_runs_once():
                 bench(_RunOnce(), **case)
             ran.append(f"{path.stem}::{name}")
     assert ran == [
+        "test_cli_calls::test_cli_main",
+        "test_cli_calls::test_ber_sweep",
         "test_closed_form::test_closed_form",
         "test_csv_writer::test_write_rows",
         "test_dense_paths::test_dense_path",
