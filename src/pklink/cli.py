@@ -24,6 +24,7 @@ import numpy as np
 from .channel import PkParams, Route, Normalization, impulse_response, peak_time, superpose
 from .errors import ConfigurationError, DomainError, PkLinkError, UsageError, exit_code_for
 from .fitting import ConcentrationSeries, fit_least_squares, fit_residuals
+from .floattext import rows_text
 from .modem import DetectionReport, add_noise, detect, symbol_samples
 from .scenarios import Scenario, builtin_scenarios, resolve_scenario
 from .signals import SampledSignal, SignalRole, dose_rate_signal, integrate_ode, sample, split_doses
@@ -35,14 +36,14 @@ ENGINES = ("analytic", "ode", "platform")
 # the hardware sheet as inconsistent.
 PLAN_WARN_RTOL = 0.01
 
-# Rows formatted per block by _write_rows: large enough that the per-block
-# cost vanishes, small enough that the text of one block stays small
-# whatever the grid length.  A block holds one list of strings per distinct
-# column; against a writer that formatted a block of floats at once, this
-# raised the sweep-cli benchmark's peak RSS by about 0.9 MB with 1024-row
-# blocks, 0.25 MB with 512 and nothing with 256, while long-grid simulate_s
-# was the same at 1024 and 512 rows and about 7% slower at 256.
-CSV_BLOCK_ROWS = 512
+# Rows formatted per block by _write_rows.  A block costs a few hundred
+# numpy calls, and its arrays grow with it: on rat-oral's simulate columns
+# (72 001 rows, 3 distinct columns of 4), 256, 512, 1024, 2048 and 4096-row
+# blocks formatted in 142, 97, 78, 70 and 66 ms (median of three best-of-6
+# runs on a shared 2-vCPU Xeon) at traced peaks of 0.14, 0.27, 0.54, 1.07
+# and 2.10 MB; the peak grows with the distinct columns too (1.26 MB for
+# impulse's 7 at 1024 rows).
+CSV_BLOCK_ROWS = 1024
 
 
 def _fmt(value: float) -> str:
@@ -53,12 +54,12 @@ def _write_rows(fh, header, columns) -> None:
     """Write a CSV header and the columns side by side, one row per sample.
 
     Every value is written as repr(float(v)), the shortest decimal that
-    reads back to the same double.  The rows are converted CSV_BLOCK_ROWS
-    at a time, column by column, so memory does not grow with the grid.
-    A column whose doubles equal an earlier column's bit for bit (as the
-    ode and platform columns of simulate do) is formatted once and its
-    text written twice; columns equal only in value, such as 0.0 and
-    -0.0, are formatted apart.
+    reads back to the same double, by floattext.rows_text.  The rows are
+    converted CSV_BLOCK_ROWS at a time, so memory does not grow with the
+    grid.  A column whose doubles equal an earlier column's bit for bit (as
+    the ode and platform columns of simulate do) has its digits found once
+    and laid out in each of its fields; columns equal only in value, such
+    as 0.0 and -0.0, are formatted apart.
     """
     fh.write(",".join(header) + "\n")
     # distinct columns as raw bits, and for each column the index of its bits
@@ -72,11 +73,8 @@ def _write_rows(fh, header, columns) -> None:
             distinct.append(bits)
         source.append(match)
     for start in range(0, len(distinct[0]), CSV_BLOCK_ROWS):
-        texts = [
-            list(map(repr, bits[start : start + CSV_BLOCK_ROWS].view(np.float64).tolist()))
-            for bits in distinct
-        ]
-        fh.write("\n".join(map(",".join, zip(*[texts[k] for k in source]))) + "\n")
+        block = [bits[start : start + CSV_BLOCK_ROWS].view(np.float64) for bits in distinct]
+        fh.write(rows_text(block, source))
 
 
 @contextlib.contextmanager

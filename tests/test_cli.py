@@ -487,16 +487,14 @@ def test_integrating_engines_refuse_an_infusion_past_the_grid():
     assert len(cli.run_engine(late, "analytic")) == scenario.grid_size()
 
 
-@pytest.mark.parametrize("dt, horizon", [(None, None), (0.5, None), (None, 8191.0)])
-def test_csv_writer_formats_every_value_as_its_repr(tmp_path, dt, horizon):
-    # bench-ev has 8001 rows; dt 0.5 gives 16001 (not a multiple of the
-    # block) and horizon 8191 gives 8192, a whole number of blocks.
-    scenario = resolve_scenario("bench-ev").with_overrides(dt=dt, horizon=horizon)
+def _assert_csv_outputs_read_as_repr(tmp_path, name, dt=None, horizon=None):
+    """simulate's and impulse's CSVs of a scenario are repr(float(v)) of every value."""
+    scenario = resolve_scenario(name).with_overrides(dt=dt, horizon=horizon)
     overrides = (["--dt", repr(dt)] if dt else []) + (["--horizon", repr(horizon)] if horizon else [])
     n = scenario.grid_size()
     assert n > CSV_BLOCK_ROWS
     sim = tmp_path / "sim.csv"
-    assert main(["simulate", "--scenario", "bench-ev", "--out", str(sim)] + overrides) == 0
+    assert main(["simulate", "--scenario", name, "--out", str(sim)] + overrides) == 0
     signals, deviations = run_simulate(scenario)
     engines = ("analytic", "ode", "platform")
     summary = " ".join(f"{key}={float(value)!r}" for key, value in deviations.items())
@@ -504,7 +502,7 @@ def test_csv_writer_formats_every_value_as_its_repr(tmp_path, dt, horizon):
     assert sim.read_bytes() == (expected + f"# max_rel_dev {summary}\n").encode()
 
     imp = tmp_path / "impulse.csv"
-    assert main(["impulse", "--scenario", "bench-ev", "--out", str(imp)] + overrides) == 0
+    assert main(["impulse", "--scenario", name, "--out", str(imp)] + overrides) == 0
     t = np.arange(n) * scenario.dt
     header, columns = ["t"], [t]
     for route, tag in ((Route.INTRAVENOUS, "iv"), (Route.EXTRAVASCULAR, "ev")):
@@ -513,6 +511,33 @@ def test_csv_writer_formats_every_value_as_its_repr(tmp_path, dt, horizon):
         header += [f"{tag}_amount", f"{tag}_conc", f"{tag}_norm"]
         columns += [impulse_response(scenario.pk, route, t, Normalization.AMOUNT), conc, conc / peak]
     assert imp.read_bytes() == _reference_csv(header, columns).encode()
+
+
+@pytest.mark.parametrize("dt, horizon", [(None, None), (0.5, None), (None, 8191.0)])
+def test_csv_writer_formats_every_value_as_its_repr(tmp_path, dt, horizon):
+    # bench-ev has 8001 rows; dt 0.5 gives 16001 (not a multiple of the
+    # block) and horizon 8191 gives 8192, a whole number of blocks.
+    assert 16001 % CSV_BLOCK_ROWS != 0 and 8192 % CSV_BLOCK_ROWS == 0
+    _assert_csv_outputs_read_as_repr(tmp_path, "bench-ev", dt, horizon)
+
+
+@pytest.mark.parametrize("name", ["human-oral", "rat-oral", "bench-iv", "bench-ev", "link-iv", "link-ev"])
+def test_csv_writer_formats_every_builtin_as_its_repr(tmp_path, name):
+    # each built-in on its own grid, from 3001 rows (the links) to 270 001
+    # (human-oral)
+    _assert_csv_outputs_read_as_repr(tmp_path, name)
+
+
+def test_csv_writer_spells_non_finite_values_as_repr():
+    # no command writes one (SampledSignal and impulse refuse them), but
+    # every double, nan and the infinities too, is written as its repr
+    column = np.array([np.nan, np.inf, -np.inf, -np.nan, 0.0, -0.0, 5e-324, 1e16])
+    bits = np.array([0xFFF8000000000001], dtype=np.uint64).view(np.float64)
+    columns = [np.arange(9.0), np.concatenate([column, bits]), -np.concatenate([column, bits])]
+    fh = io.StringIO()
+    cli._write_rows(fh, ("t", "a", "b"), columns)
+    assert fh.getvalue() == _reference_csv(("t", "a", "b"), columns)
+    assert fh.getvalue().splitlines()[1:4] == ["0.0,nan,nan", "1.0,inf,-inf", "2.0,-inf,inf"]
 
 
 def test_simulate_then_fit_recovers_the_bench_rates(tmp_path, capsys, monkeypatch):

@@ -24,6 +24,17 @@ MB = 1e6
 FROM_CSV_BUDGET = 3.9 * MB  # the file's 2.1 MB of bytes and the 1.2 MB table
 FIT_BUDGET = 4.8 * MB  # 7 arrays: the model's three, the residual, the Jacobian's three columns
 SIMULATE_BUDGET = 5.4 * MB  # 8 arrays: two engines' curves, the twin's input, jumps, states, scan blocks
+# One block of CSV_BLOCK_ROWS rows at a time, whatever the grid: the block's
+# values, their digits and layout, its text; formatting whole columns at
+# once would take megabytes.
+WRITE_ROWS_BUDGET = 0.64 * MB
+
+
+class _Discard:
+    """A text sink that keeps nothing, so only the writer's own arrays count."""
+
+    def write(self, text):
+        pass
 
 
 def _traced_peak(call) -> int:
@@ -62,3 +73,10 @@ def test_simulate_stays_in_budget():
     scenario = resolve_scenario("rat-oral")
     assert scenario.grid_size() == 72001
     assert _traced_peak(lambda: cli.run_simulate(scenario)) <= SIMULATE_BUDGET
+
+
+def test_csv_writer_stays_in_budget():
+    signals, _ = cli.run_simulate(resolve_scenario("rat-oral"))
+    columns = [signals["analytic"].times] + [signals[e].samples for e in cli.ENGINES]
+    assert len(columns[0]) > 64 * cli.CSV_BLOCK_ROWS
+    assert _traced_peak(lambda: cli._write_rows(_Discard(), ("t",) + cli.ENGINES, columns)) <= WRITE_ROWS_BUDGET
