@@ -310,7 +310,7 @@ def _cmd_link(args) -> int:
 def _cmd_fit(args) -> int:
     route = Route(args.route)
     column = args.column
-    if column is not None and column.isdigit():
+    if column is not None and column.isdecimal():
         column = int(column)
     data = ConcentrationSeries.from_csv(args.csv, route, args.dose, column if column is not None else 1)
     if args.method == "residuals":
@@ -373,109 +373,79 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-# Flags that several commands take, in the order --help lists them.
-_COMMON_FLAGS = {
+# Every flag of every command, with its argparse settings.
+_FLAGS = {
     "--scenario": {"help": "built-in scenario name or scenario file path"},
     "--dt": {"type": float, "help": "override the scenario sample step (s)"},
     "--horizon": {"type": float, "help": "override the scenario horizon (s)"},
     "--seed": {"type": int, "help": "override the scenario random seed"},
     "--out": {"help": "output file path (default: stdout)"},
+    "--engine": {"choices": ENGINES, "default": "analytic", "help": "simulation engine"},
+    "--lam": {"type": float, "help": "deconvolution regularization weight (default: auto)"},
+    "--csv": {"required": True, "help": "input CSV with a t column"},
+    "--route": {"choices": [r.value for r in Route], "required": True},
+    "--dose": {"type": float, "required": True, "help": "administered dose (mg)"},
+    "--method": {"choices": ["residuals", "least-squares"], "default": "least-squares"},
+    "--column": {"help": "concentration column name or index (default: 1)"},
+    "--volume": {"type": float, "help": "known distribution volume (mL)"},
+    "--k-a": {"type": float, "help": "absorption rate constant (1/s)"},
+    "--k-e": {"type": float, "help": "elimination rate constant (1/s)"},
+    "--mode": {"choices": ["flows", "volumes"], "required": True},
+    "--v-a": {"type": float, "help": "administration vessel volume (mL)"},
+    "--v-b": {"type": float, "help": "central vessel volume (mL)"},
+    "--flow": {"type": float, "help": "shared pump flow (mL/s)"},
+    "--check-v-a": {"type": float, "help": "nominal V_a to check"},
+    "--check-v-b": {"type": float, "help": "nominal V_b to check"},
 }
 
+_SCENARIO_FLAGS = ("--scenario", "--dt", "--horizon", "--seed", "--out")
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        p.add_argument(name, **_COMMON_FLAGS[name])
-
-
-def _out_flag(p: argparse.ArgumentParser) -> None:
-    _add_common(p, "--out")
-
-
-def _scenario_flags(p: argparse.ArgumentParser) -> None:
-    _add_common(p, *_COMMON_FLAGS)
-
-
-def _link_flags(p: argparse.ArgumentParser) -> None:
-    _scenario_flags(p)
-    p.add_argument("--engine", choices=ENGINES, default="analytic", help="simulation engine")
-    p.add_argument(
-        "--lam", type=float, default=None, help="deconvolution regularization weight (default: auto)"
-    )
-
-
-def _fit_flags(p: argparse.ArgumentParser) -> None:
-    _out_flag(p)
-    p.add_argument("--csv", required=True, help="input CSV with a t column")
-    p.add_argument("--route", choices=[r.value for r in Route], required=True)
-    p.add_argument("--dose", type=float, required=True, help="administered dose (mg)")
-    p.add_argument("--method", choices=["residuals", "least-squares"], default="least-squares")
-    p.add_argument("--column", default=None, help="concentration column name or index (default: 1)")
-    p.add_argument("--volume", type=float, default=None, help="known distribution volume (mL)")
-
-
-def _plan_flags(p: argparse.ArgumentParser) -> None:
-    _add_common(p, "--scenario", "--out")
-    p.add_argument("--k-a", type=float, dest="k_a", help="absorption rate constant (1/s)")
-    p.add_argument("--k-e", type=float, dest="k_e", help="elimination rate constant (1/s)")
-    p.add_argument("--mode", choices=["flows", "volumes"], required=True)
-    p.add_argument("--v-a", type=float, dest="v_a", help="administration vessel volume (mL)")
-    p.add_argument("--v-b", type=float, dest="v_b", help="central vessel volume (mL)")
-    p.add_argument("--flow", type=float, help="shared pump flow (mL/s)")
-    p.add_argument("--check-v-a", type=float, dest="check_v_a", help="nominal V_a to check")
-    p.add_argument("--check-v-b", type=float, dest="check_v_b", help="nominal V_b to check")
-
-
-# Each command's help text, handler, and a function that adds the flags
-# the handler reads (and no others).
+# Each command's help text, handler, and the flags the handler reads (and
+# no others), in the order --help lists them.
 COMMANDS = {
-    "scenarios": ("list built-in scenarios", _cmd_scenarios, _out_flag),
-    "impulse": ("sampled impulse responses for a scenario", _cmd_impulse, _scenario_flags),
-    "simulate": ("run all engines on a scenario", _cmd_simulate, _scenario_flags),
-    "link": ("transmit and detect a bit frame", _cmd_link, _link_flags),
-    "fit": ("estimate parameters from a concentration CSV", _cmd_fit, _fit_flags),
-    "plan": ("plan pump flows or vessel volumes", _cmd_plan, _plan_flags),
+    "scenarios": ("list built-in scenarios", _cmd_scenarios, ("--out",)),
+    "impulse": ("sampled impulse responses for a scenario", _cmd_impulse, _SCENARIO_FLAGS),
+    "simulate": ("run all engines on a scenario", _cmd_simulate, _SCENARIO_FLAGS),
+    "link": ("transmit and detect a bit frame", _cmd_link, _SCENARIO_FLAGS + ("--engine", "--lam")),
+    "fit": (
+        "estimate parameters from a concentration CSV",
+        _cmd_fit,
+        ("--out", "--csv", "--route", "--dose", "--method", "--column", "--volume"),
+    ),
+    "plan": (
+        "plan pump flows or vessel volumes",
+        _cmd_plan,
+        ("--scenario", "--out", "--k-a", "--k-e", "--mode", "--v-a", "--v-b", "--flow", "--check-v-a",
+         "--check-v-b"),
+    ),
 }
 
 
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of the one named.
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process.
 
-    A parser built for one command parses that command's command lines as
-    the whole tree does, with the same usage lines, and refuses the other
-    commands as invalid choices.  Each parser is built on first use and
-    reused for the rest of the process, so callers must not change it: a
-    parse leaves no state in it, and its help headings are in the
-    language set when it was built.
+    The first call builds the whole tree, every command's flags included,
+    and later calls return it, so callers must not change it: a parse
+    leaves no state in it, and its help headings are in the language set
+    when it was built.
     """
     parser = argparse.ArgumentParser(
         prog="pklink",
         description="Simulate and decode drug-concentration signalling through a one-compartment channel.",
     )
-    if command is None:
-        names = list(COMMANDS)
-        sub = parser.add_subparsers(dest="command", required=True)
-    else:
-        names = [command]
-        # name every command in usage lines, as the whole tree does
-        sub = parser.add_subparsers(dest="command", required=True, metavar="{" + ",".join(COMMANDS) + "}")
-    for name in names:
-        help_text, run, add_flags = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, run, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        add_flags(p)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # a run pays for the parser of its own command only, once per process;
-    # anything else (no arguments, --help, an unknown word) gets the whole
-    # tree's messages
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -413,9 +413,9 @@ def detect(
     preamble is decoded.
     """
     receiver = Receiver(params, config, received.dt, len(received), lam)
-    recovered, stats, starts = receiver.decode(received.samples[np.newaxis])
     if receiver.n_windows < len(PREAMBLE):
         raise SynchronizationError("signal is shorter than the preamble")
+    recovered, stats, starts = receiver.decode(received.samples[np.newaxis])
     start = int(starts[0])
     if start < 0:
         raise SynchronizationError("no preamble found above threshold")

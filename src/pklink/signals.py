@@ -282,7 +282,11 @@ class TikhonovSolve:
         self.n = n
         self.n_fft = next_fast_len(n + len(taps) - 1)
         self.H = np.fft.rfft(taps, self.n_fft) * dt
-        power = np.abs(self.H) ** 2
+        # taps near the largest double overflow |H|^2; that is refused below
+        with np.errstate(over="ignore"):
+            power = np.abs(self.H) ** 2
+        if not np.all(np.isfinite(power)):
+            raise IllConditionedError("kernel transform overflows: |H|^2 is not finite")
         if lam is None:
             lam = 1e-3 * float(np.max(power))
         if not lam >= 0:
