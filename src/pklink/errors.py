@@ -10,6 +10,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_SYNC = 5
+# stdout's reader closed the pipe: 128 + SIGPIPE, as a shell reports a process SIGPIPE killed
+EXIT_BROKEN_PIPE = 141
 
 
 class PkLinkError(Exception):

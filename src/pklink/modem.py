@@ -26,6 +26,7 @@ from .errors import (
 # deconvolve is not called here but stays importable from this module: the
 # benchmark tracer (perfbench/spans.py) wraps it under this name.
 from .signals import (
+    MAX_GRID_SAMPLES,
     SampledSignal,
     SignalRole,
     TikhonovSolve,
@@ -481,8 +482,11 @@ def ber_sweep(
     order; the same per-frame noise realization is reused for every sigma
     (scaled draws) to keep the sweep comparable point to point.  Frames
     whose preamble cannot be found count all payload bits as errors.
-    n_frames and payload_length must be integers of at least 1, or a
-    DomainError names the argument.
+    n_frames and payload_length must be integers of at least 1, dt (by
+    default a hundredth of the symbol period) finite and > 0, and the grid
+    that spans the frame plus eight of the slowest rate's time constants
+    at most MAX_GRID_SAMPLES samples, or a DomainError names the argument
+    before anything is allocated.
 
     The Receiver is built once per call, and the sweep works on blocks of
     SWEEP_BLOCK_FRAMES frames.  A block's clean frames start as the sum of
@@ -501,9 +505,13 @@ def ber_sweep(
     payload_length = _integer("payload_length", payload_length, minimum=1)
     if dt is None:
         dt = config.symbol_period / 100.0
+    if not (math.isfinite(dt) and dt > 0):
+        raise DomainError(f"dt must be finite and > 0, got {dt}")
     rate_floor = params.k_e if config.route is Route.INTRAVENOUS else min(params.require_k_a(), params.k_e)
     n_symbols = len(PREAMBLE) + payload_length
     horizon = n_symbols * config.symbol_period + 8.0 / rate_floor
+    if not horizon / dt <= MAX_GRID_SAMPLES - 1:
+        raise DomainError(f"grid: horizon {horizon} / dt {dt} gives more than {MAX_GRID_SAMPLES} samples")
     n = int(round(horizon / dt)) + 1
     sigmas = np.asarray(list(sigmas), dtype=float)
 

@@ -23,16 +23,10 @@ import yaml
 from .channel import DoseEvent, DoseSchedule, PkParams, Route
 from .errors import PkLinkError, UsageError
 from .modem import REFERENCE_PAYLOAD, ModulationConfig, frame, modulate_ook
+from .signals import MAX_GRID_SAMPLES
 from .testbed import PlatformConfig, plan_flows, plan_volumes
 
 SCENARIO_DIR_ENV = "MOCOBO_SCENARIO_DIR"
-
-# Largest scenario grid, in samples.  At its peak simulate holds nine float
-# arrays of the grid's length (two engines' curves, and the twin's input,
-# jumps, three states and two scan buffers), so 10**8 samples already take
-# 7.2 GB; a larger grid is refused as a usage error before anything is
-# allocated.
-MAX_GRID_SAMPLES = 10**8
 
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):

@@ -31,6 +31,13 @@ SCAN_BLOCK = 64
 _SCAN_LAG = np.subtract.outer(np.arange(SCAN_BLOCK), np.arange(SCAN_BLOCK))
 _SCAN_LAG[_SCAN_LAG < 0] = SCAN_BLOCK
 
+# Largest grid, in samples, of a scenario and of a ber_sweep.  At its peak
+# simulate holds nine float arrays of the grid's length (two engines'
+# curves, and the twin's input, jumps, three states and two scan buffers),
+# so 10**8 samples already take 7.2 GB; a larger grid is refused before
+# anything is allocated.
+MAX_GRID_SAMPLES = 10**8
+
 # Explicit stability margin for the fixed-step integrator: the fastest
 # first-order rate in the system must resolve to at least ten steps.
 MAX_RATE_PER_STEP = 0.1
@@ -180,7 +187,7 @@ def _combine_roles(a: SignalRole, b: SignalRole) -> SignalRole:
 
 
 # Largest transform size next_fast_len answers: the full linear convolution
-# of two grids of scenarios.MAX_GRID_SAMPLES samples fits below it.
+# of two grids of MAX_GRID_SAMPLES samples fits below it.
 MAX_FFT_SIZE = 2**28
 
 

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from pklink.channel import (
     peak_time,
 )
 from pklink.cli import COMMANDS, CSV_BLOCK_ROWS, build_parser, main, run_simulate
-from pklink.errors import ConfigurationError
+from pklink.errors import EXIT_BROKEN_PIPE, ConfigurationError
 from pklink.scenarios import builtin_scenarios, resolve_scenario
 
 from conftest import BENCH_DOSE, BENCH_K_A, BENCH_K_E, BENCH_V
@@ -42,13 +43,19 @@ GOLDEN_PLAN_WARNING = (
 )
 
 
-def test_cli_import_loads_no_scipy():
-    # the test process has scipy loaded already, so look from a fresh one
+def _subprocess_env() -> dict:
+    """The environment of a fresh Python process that imports this pklink."""
     package_root = str(Path(pklink.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_loads_no_scipy():
+    # the test process has scipy loaded already, so look from a fresh one
     code = "import sys, pklink.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    run = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True,
+                         check=True)
     assert run.stdout.strip() == "[]"
 
 
@@ -266,6 +273,12 @@ def test_usage_errors_exit_with_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: cannot open output file")
         assert "Traceback" not in err
+    if os.path.exists("/dev/full"):  # a device that refuses every write with ENOSPC
+        for argv in (["scenarios"], ["link", "--scenario", "link-ev"]):
+            assert main(argv + ["--out", "/dev/full"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot write output file /dev/full: ")
+            assert "Traceback" not in err
     # a plan flag the mode does not read is refused, by name; a scenario's
     # flow, volumes and nominal pair are defaults and never refused
     flows = ["plan", "--mode", "flows", "--k-a", "2.89e-4", "--k-e", "4.47e-5", "--v-a", "300", "--v-b", "650"]
@@ -450,6 +463,108 @@ def test_output_is_byte_identical_across_runs(tmp_path):
         assert main(["impulse", "--scenario", "rat-oral", "--horizon", "3000",
                      "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+OUT_CALLS = {
+    "link": ["link", "--scenario", "link-ev"],
+    "simulate": ["simulate", "--scenario", "bench-iv", "--horizon", "600"],
+}
+
+
+def _fresh_output(tmp_path, command) -> bytes:
+    """The bytes the command writes to a path that did not exist."""
+    fresh = tmp_path / f"fresh-{command}.csv"
+    assert main(OUT_CALLS[command] + ["--out", str(fresh)]) == 0
+    return fresh.read_bytes()
+
+
+@pytest.mark.parametrize("command", list(OUT_CALLS))
+def test_out_over_a_longer_file_leaves_only_the_new_bytes(tmp_path, capsys, command):
+    expected = _fresh_output(tmp_path, command)
+    out = tmp_path / "old.csv"
+    out.write_bytes(b"9" * (len(expected) + 10_000))
+    assert main(OUT_CALLS[command] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("command", list(OUT_CALLS))
+def test_out_rewrites_the_file_in_place(tmp_path, capsys, command):
+    expected = _fresh_output(tmp_path, command)
+    out = tmp_path / "out.csv"
+    out.write_text("old text\n")
+    out.chmod(0o640)
+    link = tmp_path / "hard-link.csv"
+    os.link(out, link)
+    inode = out.stat().st_ino
+    assert main(OUT_CALLS[command] + ["--out", str(out)]) == 0
+    assert out.stat().st_ino == inode
+    assert link.read_bytes() == expected
+    assert out.stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs symlinks")
+def test_out_through_a_symlink_rewrites_its_target(tmp_path, capsys):
+    expected = _fresh_output(tmp_path, "link")
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"old\n" * 1000)
+    out = tmp_path / "out.csv"
+    out.symlink_to(target)
+    assert main(OUT_CALLS["link"] + ["--out", str(out)]) == 0
+    assert out.is_symlink() and out.resolve() == target.resolve()
+    assert target.read_bytes() == expected
+
+
+def test_out_creates_a_file_with_the_umask_mode(tmp_path, capsys):
+    out = tmp_path / "new.csv"
+    umask = os.umask(0o027)
+    try:
+        assert main(OUT_CALLS["link"] + ["--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+def test_out_to_the_null_device_succeeds(capsys):
+    assert main(OUT_CALLS["link"] + ["--out", os.devnull]) == 0
+    assert "recovered payload: 01010011" in capsys.readouterr().out
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs POSIX FIFOs")
+def test_out_to_a_fifo_reaches_its_reader(tmp_path, capsys):
+    expected = _fresh_output(tmp_path, "simulate")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        code = main(OUT_CALLS["simulate"] + ["--out", str(fifo)])
+    finally:
+        reader.join(timeout=60)
+    assert code == 0
+    assert received == [expected]
+
+
+def test_out_cut_after_a_failed_write_leaves_what_was_written(tmp_path):
+    out = tmp_path / "out.csv"
+    out.write_text("old\n" * 1000)
+    with pytest.raises(RuntimeError):
+        with cli._output(str(out)) as fh:
+            fh.write("t,analytic\n")
+            raise RuntimeError("stopped mid-write")
+    assert out.read_bytes() == b"t,analytic\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX pipes and SIGPIPE")
+def test_closed_stdout_pipe_exits_quietly():
+    # simulate on bench-ev writes 0.57 MB, far more than a pipe holds
+    proc = subprocess.Popen([sys.executable, "-m", "pklink.cli", "simulate", "--scenario", "bench-ev"],
+                            env=_subprocess_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"t,analytic,ode,platform\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 def _reference_csv(header, columns) -> str:

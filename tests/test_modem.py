@@ -1,7 +1,9 @@
 """On-off keying over the concentration channel: framing through detection."""
 
+import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,6 +343,29 @@ def test_ber_sweep_refuses_frame_and_payload_counts_that_are_not_positive_intege
     config = _link_config(Route.INTRAVENOUS)
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         ber_sweep(bench_pk, config, [0.1], **{"n_frames": 2, **options})
+
+
+@pytest.mark.parametrize(
+    "symbol_period, dt, message",
+    [
+        (600.0, 0.0, "dt must be finite and > 0, got 0.0"),
+        (600.0, -5.0, "dt must be finite and > 0, got -5.0"),
+        (600.0, float("nan"), "dt must be finite and > 0, got nan"),
+        (600.0, float("inf"), "dt must be finite and > 0, got inf"),
+        (600.0, 1e-6, "gives more than 100000000 samples"),  # 1.2e10 samples, 88.6 GiB a pulse
+        (1e20, 5.0, "gives more than 100000000 samples"),  # 2.2e20 samples
+    ],
+)
+def test_ber_sweep_refuses_a_bad_grid_before_allocating(bench_pk, symbol_period, dt, message):
+    config = dataclasses.replace(_link_config(Route.EXTRAVASCULAR), symbol_period=symbol_period)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=re.escape(message)):
+            ber_sweep(bench_pk, config, [0.1], n_frames=2, dt=dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_ber_sweep_keeps_the_frame_by_frame_validation(bench_pk):

@@ -67,6 +67,7 @@ def test_every_bench_module_runs_once():
             ran.append(f"{path.stem}::{name}")
     assert ran == [
         "test_cli_calls::test_cli_main",
+        "test_cli_calls::test_cli_main_link_out",
         "test_cli_calls::test_ber_sweep",
         "test_closed_form::test_closed_form",
         "test_csv_writer::test_write_rows",
