@@ -91,15 +91,15 @@ def _output(path):
     mounted with discard.  Devices and FIFOs, which cannot be cut, are
     written as they are.  The file keeps its inode, so hard links, its mode
     and its owner stay.  An OSError raises UsageError: "cannot open output
-    file" from the open, "cannot write output file" from a write, flush,
-    cut or close.
+    file" from the open (also for the ValueError of a path with a NUL
+    byte), "cannot write output file" from a write, flush, cut or close.
     """
     if path in (None, "-"):
         yield sys.stdout
         return
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot open output file {path}: {exc}") from exc
     try:
         with open(fd, "w", newline="") as fh:

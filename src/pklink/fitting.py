@@ -88,7 +88,7 @@ def _read_columns(path, column: str | int) -> tuple[np.ndarray, np.ndarray]:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise DataError(f"cannot read {path}: {exc}") from exc
     start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     # the header line ends at the first CR, LF or CR LF, as readline(newline="") reads it

@@ -210,26 +210,26 @@ def _check_noise(sigmas, spike_prob: float, spike_scale: float) -> np.ndarray:
     return sigmas
 
 
-def _noisy_rows(clean: np.ndarray, sigmas: np.ndarray, spike_prob: float, spike_scale: float, seeds) -> np.ndarray:
+def _noisy_rows(clean: np.ndarray, sigmas: np.ndarray, spike_prob: float, spike_scale: float, seed) -> np.ndarray:
     """Noisy copies of each clean row for every sigma, shape (sigmas, rows, n).
 
-    Row j draws from seeds[j] alone: its normals, then uniforms and
-    exponentials when spike_prob > 0.  The draws do not depend on the
-    amplitudes (checked by _check_noise), so [i, j] is exactly what
-    drawing afresh for row j with sigmas[i] would give.
+    The rows draw in turn from np.random.default_rng(seed), each its
+    normals, then uniforms and exponentials when spike_prob > 0.  The draws
+    do not depend on the amplitudes (checked by _check_noise), so [i, j] is
+    exactly what add_noise would give row j with sigmas[i] and the
+    generator as row j finds it.
     """
     normals = np.empty_like(clean)
     spikes = np.zeros_like(clean) if spike_prob > 0 else None
     noisy = np.empty((len(sigmas),) + clean.shape)
     n = clean.shape[1]
+    rng = np.random.default_rng(seed)
     # a sigma or spike_scale near the largest double overflows; that is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, seed in enumerate(seeds):
-            rng = np.random.default_rng(seed)
+        for j in range(len(clean)):
             rng.standard_normal(out=normals[j])
             if spikes is not None:
-                # nothing reads the generator after the spikes, so skipping their
-                # draws when no sample can spike changes no value
+                # the add_noise contract: the spike draws are taken only when a sample can spike
                 spike_at = rng.random(n) < spike_prob
                 np.multiply(rng.exponential(1.0, n), spike_scale, out=spikes[j], where=spike_at)
         np.multiply(normals, sigmas[:, np.newaxis, np.newaxis], out=noisy)
@@ -262,13 +262,16 @@ def add_noise(
     exponentials, which are drawn only when spike_prob > 0) so a seed
     fully determines the output, and scaling by sigma / spike_scale happens
     after drawing so different amplitudes share the same underlying
-    realization for a given seed.  ber_sweep relies on this: it draws each
-    frame's noise once and scales the same draws for every sigma, through
-    the helper this function uses.  A sigma or spike_scale so large that
-    a noisy sample overflows raises DomainError.
+    realization for a given seed.  The seed is anything
+    np.random.default_rng takes; a Generator is drawn from, and so left
+    advanced past this signal's draws.  ber_sweep relies on this: through
+    the helper this function uses, its frames take their draws in turn
+    from one Generator, and it scales each frame's draws for every sigma.
+    A sigma or spike_scale so large that a noisy sample overflows raises
+    DomainError.
     """
     sigmas = _check_noise([sigma], spike_prob, spike_scale)
-    noisy = _noisy_rows(x.samples[np.newaxis], sigmas, spike_prob, spike_scale, [seed])[0, 0]
+    noisy = _noisy_rows(x.samples[np.newaxis], sigmas, spike_prob, spike_scale, seed)[0, 0]
     return SampledSignal(t0=x.t0, dt=x.dt, samples=noisy, role=x.role)
 
 
@@ -477,24 +480,28 @@ def ber_sweep(
 ) -> list[float]:
     """Monte-Carlo bit error rate across noise amplitudes.
 
-    Each frame draws a random payload from a seed derived as seed + frame
-    index, so results are reproducible and independent of evaluation
-    order; the same per-frame noise realization is reused for every sigma
-    (scaled draws) to keep the sweep comparable point to point.  Frames
-    whose preamble cannot be found count all payload bits as errors.
+    The sweep draws from two streams, each made once per call.  Frame j's
+    payload is row j of np.random.default_rng([seed, 0]).integers(0, 2,
+    (n_frames, payload_length)).  Its noise is the next draws of
+    np.random.default_rng([seed, 1]), taken in frame order as add_noise
+    takes them (normals, then uniforms and exponentials when
+    spike_prob > 0); the same draws are scaled for every sigma to keep the
+    sweep comparable point to point.  So frame j's payload and noise depend
+    on neither n_frames nor SWEEP_BLOCK_FRAMES.  Frames whose preamble
+    cannot be found count all payload bits as errors.
     n_frames and payload_length must be integers of at least 1, dt (by
-    default a hundredth of the symbol period) finite and > 0, and the grid
+    default a hundredth of the symbol period) finite and > 0, the grid
     that spans the frame plus eight of the slowest rate's time constants
-    at most MAX_GRID_SAMPLES samples, or a DomainError names the argument
+    at most MAX_GRID_SAMPLES samples, and sigmas, spike_prob and
+    spike_scale valid for add_noise, or a DomainError names the argument
     before anything is allocated.
 
     The Receiver is built once per call, and the sweep works on blocks of
     SWEEP_BLOCK_FRAMES frames.  A block's clean frames start as the sum of
     the preamble's pulses and gain each payload slot's pulse, in slot
     order, where the frame's bit is 1; every per-slot pulse is sampled
-    once per call.  Each frame's noise is drawn once from seed
-    [frame_seed, 1] (the add_noise contract) and scaled for every sigma,
-    so the block becomes one stack of sigma x frame rows, which the
+    once per call.  Each frame's noise is drawn once and scaled for every
+    sigma, so the block becomes one stack of sigma x frame rows, which the
     receiver decides through its window-sum map: one matrix product, no
     transform.  The rates are those of add_noise and detect applied frame
     by frame and sigma by sigma, up to the rounding of the window sums,
@@ -513,7 +520,7 @@ def ber_sweep(
     if not horizon / dt <= MAX_GRID_SAMPLES - 1:
         raise DomainError(f"grid: horizon {horizon} / dt {dt} gives more than {MAX_GRID_SAMPLES} samples")
     n = int(round(horizon / dt)) + 1
-    sigmas = np.asarray(list(sigmas), dtype=float)
+    sigmas = _check_noise(list(sigmas), spike_prob, spike_scale)
 
     def slot_pulse(event: DoseEvent) -> np.ndarray:
         one = DoseSchedule(events=(event,))
@@ -522,25 +529,25 @@ def ber_sweep(
 
     pulses = [slot_pulse(event) for event in modulate_ook(frame((1,) * payload_length), config)]
     receiver = Receiver(params, config, dt, n, lam)
-    sigmas = _check_noise(sigmas, spike_prob, spike_scale)
     preamble = sum(pulses[: len(PREAMBLE)])
+    payloads = np.random.default_rng([seed, 0]).integers(0, 2, (n_frames, payload_length))
+    noise = np.random.default_rng([seed, 1])
 
     k = len(sigmas)
 
-    def block_errors(frame_seeds: range) -> np.ndarray:
+    def block_errors(payloads: np.ndarray) -> np.ndarray:
         # payload bit errors per sigma; a function, so that a block's buffers
         # are freed before the next block's are built
-        payloads = np.array([np.random.default_rng([s, 0]).integers(0, 2, payload_length) for s in frame_seeds])
-        clean = np.tile(preamble, (len(frame_seeds), 1))
+        clean = np.tile(preamble, (len(payloads), 1))
         for bits, pulse in zip(payloads.astype(bool).T, pulses[len(PREAMBLE) :]):
             np.add(clean, pulse, out=clean, where=bits[:, np.newaxis])
-        rows = _noisy_rows(clean, sigmas, spike_prob, spike_scale, [[s, 1] for s in frame_seeds])
+        rows = _noisy_rows(clean, sigmas, spike_prob, spike_scale, noise)
         stats, starts = receiver.decide(rows.reshape(-1, n))
         decisions, held = receiver.payload_decisions(stats, starts, payload_length)
         wrong = np.count_nonzero(decisions != np.tile(payloads, (k, 1)), axis=1)
-        return np.where(held, wrong, payload_length).reshape(k, len(frame_seeds)).sum(axis=1)
+        return np.where(held, wrong, payload_length).reshape(k, len(payloads)).sum(axis=1)
 
     errors = np.zeros(k, dtype=int)
-    for first in range(seed, seed + n_frames, SWEEP_BLOCK_FRAMES):
-        errors += block_errors(range(first, min(first + SWEEP_BLOCK_FRAMES, seed + n_frames)))
+    for first in range(0, n_frames, SWEEP_BLOCK_FRAMES):
+        errors += block_errors(payloads[first : first + SWEEP_BLOCK_FRAMES])
     return [int(e) / (n_frames * payload_length) for e in errors]

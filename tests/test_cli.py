@@ -273,6 +273,12 @@ def test_usage_errors_exit_with_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: cannot open output file")
         assert "Traceback" not in err
+    # a NUL byte, which no path can hold (an in-process caller can pass one)
+    for argv in (["scenarios", "--out", "a\0b"], ["simulate", "--scenario", "link-ev", "--out", "x\0"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot open output file")
+        assert "Traceback" not in err
     if os.path.exists("/dev/full"):  # a device that refuses every write with ENOSPC
         for argv in (["scenarios"], ["link", "--scenario", "link-ev"]):
             assert main(argv + ["--out", "/dev/full"]) == 2
@@ -348,6 +354,10 @@ def test_data_errors_exit_with_3(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     code = main(["fit", "--csv", str(missing), "--route", "intravenous", "--dose", "10"])
     assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read")
+    assert "Traceback" not in err
+    assert main(["fit", "--csv", "a\0b", "--route", "extravascular", "--dose", "1"]) == 3  # a NUL byte
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read")
     assert "Traceback" not in err

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pklink import signals
+from pklink import modem, signals
 from pklink.channel import PkParams, Route, superpose
 from pklink.cli import run_link
 from pklink.errors import (
@@ -164,18 +164,35 @@ def test_noise_draws_spikes_only_when_a_sample_can_spike():
             assert np.array_equal(noisy, all_three_draws(x.samples, sigma, spike_prob, spike_scale, seed))
 
 
+def _replayed(rng, draw):
+    # the draw, then rng's state as it was before it, so the next draw repeats it
+    state = rng.bit_generator.state
+    try:
+        return draw()
+    finally:
+        rng.bit_generator.state = state
+
+
 @pytest.mark.parametrize("spike_prob, spike_scale", [(0.0, 0.0), (0.05, 0.5)])
 def test_block_noise_rows_equal_add_noise_of_each_frame_and_sigma(spike_prob, spike_scale):
-    # ber_sweep draws a block of frames at once; each row must be add_noise's
+    # ber_sweep draws a block of frames at once, the rows in turn from one
+    # Generator; each row must be add_noise's from the Generator as row j
+    # finds it (each sigma from the same state)
     clean = np.abs(np.random.default_rng(5).standard_normal((3, 700)))
     sigmas = np.array([0.0, 0.1, 2.0])
-    seeds = [[s, 1] for s in (4, 5, 6)]
-    rows = _noisy_rows(clean, sigmas, spike_prob, spike_scale, seeds)
-    assert rows.shape == (len(sigmas),) + clean.shape
-    for j, seed in enumerate(seeds):
-        x = SampledSignal(0.0, 1.0, clean[j], SignalRole.CONCENTRATION)
-        for i, sigma in enumerate(sigmas):
-            assert np.array_equal(rows[i, j], add_noise(x, sigma, spike_prob, spike_scale, seed=seed).samples)
+    shared = np.random.default_rng([4, 1])
+    for seed in ([4, 1], shared):
+        rows = _noisy_rows(clean, sigmas, spike_prob, spike_scale, seed)
+        assert rows.shape == (len(sigmas),) + clean.shape
+        rng = np.random.default_rng([4, 1])
+        for j in range(len(clean)):
+            x = SampledSignal(0.0, 1.0, clean[j], SignalRole.CONCENTRATION)
+            for i, sigma in enumerate(sigmas):
+                noisy = _replayed(rng, lambda: add_noise(x, sigma, spike_prob, spike_scale, seed=rng)).samples
+                assert np.array_equal(rows[i, j], noisy)
+            add_noise(x, 0.0, spike_prob, spike_scale, seed=rng)  # row j's draws, taken
+    # a Generator is drawn from, and left past the rows' draws
+    assert shared.bit_generator.state == rng.bit_generator.state
 
 
 def test_noiseless_detection_recovers_the_payload(bench_pk):
@@ -303,21 +320,47 @@ def test_ber_sweep_is_reproducible_and_ordered(bench_pk):
         ber_sweep(bench_pk, config, sigmas, n_frames=0)
 
 
-# BER lists of the frame-by-frame sweep (add_noise then detect for every
-# frame and sigma), which the batched sweep must reproduce exactly:
-# 30 frames, seed 7 unless noted, sigmas GOLDEN_SIGMAS.
+def _frame_by_frame_rates(pk, config, sigmas, n_frames, payload_length=8, seed=0, spike_prob=0.0, spike_scale=0.0):
+    """ber_sweep's rates from add_noise then detect, one frame and sigma at a time.
+
+    Frame j's payload is row j of one draw from default_rng([seed, 0]); its
+    noise is add_noise's draws from default_rng([seed, 1]) as frame j finds
+    it, the generator's state restored before each sigma.
+    """
+    dt = config.symbol_period / 100.0
+    rate_floor = pk.k_e if config.route is Route.INTRAVENOUS else min(pk.k_a, pk.k_e)
+    horizon = (len(PREAMBLE) + payload_length) * config.symbol_period + 8.0 / rate_floor
+    n = int(round(horizon / dt)) + 1
+    payloads = np.random.default_rng([seed, 0]).integers(0, 2, (n_frames, payload_length))
+    noise = np.random.default_rng([seed, 1])
+    errors = [0] * len(sigmas)
+    for payload in payloads:
+        clean = _clean_frame_signal(pk, config, payload, dt, n)
+        for i, sigma in enumerate(sigmas):
+            noisy = _replayed(noise, lambda: add_noise(clean, sigma, spike_prob, spike_scale, seed=noise))
+            try:
+                errors[i] += detect(noisy, pk, config, payload_length, reference=payload).errors
+            except (SynchronizationError, TruncationError):
+                errors[i] += payload_length
+        add_noise(clean, 0.0, spike_prob, spike_scale, seed=noise)  # the frame's draws, taken
+    return [e / (n_frames * payload_length) for e in errors]
+
+
+# BER lists of the frame-by-frame sweep (_frame_by_frame_rates: add_noise
+# then detect for every frame and sigma), which the batched sweep must
+# reproduce exactly: 30 frames, seed 7 unless noted, sigmas GOLDEN_SIGMAS.
 GOLDEN_SIGMAS = (0.0, 0.05, 0.15, 0.5, 1.5)
 GOLDEN_BER = [
     ((Route.INTRAVENOUS, 1.3, {}),
-     [0.0, 0.0, 0.11666666666666667, 0.4041666666666667, 0.4791666666666667]),
+     [0.0, 0.0, 0.125, 0.4, 0.4375]),
     ((Route.INTRAVENOUS, None, {}),
-     [0.6333333333333333, 0.4708333333333333, 0.37083333333333335, 0.45, 0.48333333333333334]),
+     [0.6916666666666667, 0.5458333333333333, 0.4583333333333333, 0.4791666666666667, 0.44583333333333336]),
     ((Route.EXTRAVASCULAR, 1.3, {}),
-     [0.0, 0.0625, 0.3458333333333333, 0.5166666666666667, 0.5291666666666667]),
+     [0.0, 0.07083333333333333, 0.3333333333333333, 0.45416666666666666, 0.44583333333333336]),
     ((Route.EXTRAVASCULAR, None, {}),
-     [0.3875, 0.35833333333333334, 0.4375, 0.49583333333333335, 0.5291666666666667]),
+     [0.4083333333333333, 0.4083333333333333, 0.49583333333333335, 0.4791666666666667, 0.44583333333333336]),
     ((Route.EXTRAVASCULAR, 1.3, {"seed": 5, "spike_prob": 0.01, "spike_scale": 0.5}),
-     [0.10833333333333334, 0.12916666666666668, 0.3541666666666667, 0.48333333333333334, 0.5125]),
+     [0.1, 0.14583333333333334, 0.37916666666666665, 0.5, 0.5125]),
 ]
 
 
@@ -327,6 +370,26 @@ def test_ber_sweep_matches_the_frame_by_frame_golden_values(bench_pk, case, expe
     options = {"seed": 7, **options}
     rates = ber_sweep(bench_pk, _link_config(route, pump_rate), GOLDEN_SIGMAS, n_frames=30, **options)
     assert rates == expected
+
+
+@pytest.mark.parametrize("case, expected", GOLDEN_BER)
+def test_the_frame_by_frame_sweep_gives_the_golden_values(bench_pk, case, expected):
+    route, pump_rate, options = case
+    options = {"seed": 7, **options}
+    rates = _frame_by_frame_rates(bench_pk, _link_config(route, pump_rate), GOLDEN_SIGMAS, 30, **options)
+    assert rates == expected
+
+
+@pytest.mark.parametrize("spikes", [{}, {"spike_prob": 0.01, "spike_scale": 0.5}])
+def test_ber_sweep_rates_do_not_depend_on_the_block_size(monkeypatch, bench_pk, spikes):
+    # frame j's payload and noise are the same whichever block it falls in
+    config = _link_config(Route.EXTRAVASCULAR)
+    rates = []
+    for block in (1, 3, 8, 64):
+        monkeypatch.setattr(modem, "SWEEP_BLOCK_FRAMES", block)
+        rates.append(ber_sweep(bench_pk, config, GOLDEN_SIGMAS, n_frames=29, seed=3, **spikes))
+    assert rates[0][-1] > 0.0
+    assert all(r == rates[0] for r in rates)
 
 
 @pytest.mark.parametrize(
@@ -362,6 +425,29 @@ def test_ber_sweep_refuses_a_bad_grid_before_allocating(bench_pk, symbol_period,
     try:
         with pytest.raises(DomainError, match=re.escape(message)):
             ber_sweep(bench_pk, config, [0.1], n_frames=2, dt=dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"sigmas": [-1.0]}, "sigma must be finite and >= 0, got -1.0"),
+        ({"sigmas": [0.1, float("nan")]}, "sigma must be finite and >= 0, got nan"),
+        ({"spike_prob": 2.0}, "spike_prob must lie in [0, 1], got 2.0"),
+        ({"spike_prob": 0.5, "spike_scale": -1.0}, "spike_scale must be finite and >= 0, got -1.0"),
+    ],
+)
+def test_ber_sweep_refuses_bad_noise_before_allocating(bench_pk, options, message):
+    # dt = 0.1 s gives about 119 000 samples a pulse, 0.95 MB each
+    config = _link_config(Route.EXTRAVASCULAR)
+    options = {"sigmas": [0.1], **options}
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            ber_sweep(bench_pk, config, n_frames=2, dt=0.1, **options)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
