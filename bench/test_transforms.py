@@ -30,5 +30,5 @@ def test_receiver_build_and_decode(benchmark, n):
     def build_and_decode():
         return Receiver(BENCH_PK, CONFIG, dt, n).decode(record)
 
-    _, stats, _ = benchmark(build_and_decode)
+    _, stats = benchmark(build_and_decode)
     assert stats.shape == (1, n // round(CONFIG.symbol_period / dt))

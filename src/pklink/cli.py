@@ -24,7 +24,15 @@ import sys
 import numpy as np
 
 from .channel import PkParams, Route, Normalization, impulse_response, peak_time, superpose
-from .errors import EXIT_BROKEN_PIPE, ConfigurationError, DomainError, PkLinkError, UsageError, exit_code_for
+from .errors import (
+    EXIT_BROKEN_PIPE,
+    ConfigurationError,
+    DomainError,
+    PkLinkError,
+    UsageError,
+    exit_code_for,
+    shown_path,
+)
 from .fitting import ConcentrationSeries, fit_least_squares, fit_residuals
 from .floattext import rows_text
 from .modem import DetectionReport, add_noise, detect, symbol_samples
@@ -38,14 +46,18 @@ ENGINES = ("analytic", "ode", "platform")
 # the hardware sheet as inconsistent.
 PLAN_WARN_RTOL = 0.01
 
-# Rows formatted per block by _write_rows.  A block costs a few hundred
-# numpy calls, and its arrays grow with it: on rat-oral's simulate columns
-# (72 001 rows, 3 distinct columns of 4), 256, 512, 1024, 2048 and 4096-row
-# blocks formatted in 142, 97, 78, 70 and 66 ms (median of three best-of-6
-# runs on a shared 2-vCPU Xeon) at traced peaks of 0.14, 0.27, 0.54, 1.07
-# and 2.10 MB; the peak grows with the distinct columns too (1.26 MB for
-# impulse's 7 at 1024 rows).
-CSV_BLOCK_ROWS = 1024
+# Values formatted per block by _write_rows, which takes as many rows as
+# hold this many values of its distinct columns.  A block costs a few
+# hundred numpy calls, and its arrays grow with its values: on rat-oral's
+# simulate columns (72 001 rows, 3 distinct columns of 4), 256, 512, 1024,
+# 2048 and 4096-row blocks formatted in 142, 97, 78, 70 and 66 ms (median
+# of three best-of-6 runs on a shared 2-vCPU Xeon) at traced peaks of
+# 0.14, 0.27, 0.54, 1.07 and 2.10 MB.  impulse's 7 distinct columns took
+# 1.26 MB in 1024-row blocks and take 0.56 MB in the 438 rows these give
+# them.  Run alone, bench-ev's impulse is no slower in the smaller blocks
+# (18.6 against 20.3 ms, best of 15); run among the sweep-cli benchmark's
+# calls, its four impulse calls take 61-62 against 55-58 ms a round.
+CSV_BLOCK_VALUES = 3072
 
 
 def _fmt(value: float) -> str:
@@ -57,11 +69,12 @@ def _write_rows(fh, header, columns) -> None:
 
     Every value is written as repr(float(v)), the shortest decimal that
     reads back to the same double, by floattext.rows_text.  The rows are
-    converted CSV_BLOCK_ROWS at a time, so memory does not grow with the
-    grid.  A column whose doubles equal an earlier column's bit for bit (as
-    the ode and platform columns of simulate do) has its digits found once
-    and laid out in each of its fields; columns equal only in value, such
-    as 0.0 and -0.0, are formatted apart.
+    converted CSV_BLOCK_VALUES // (distinct columns) at a time, so memory
+    grows neither with the grid nor with the columns.  A column whose
+    doubles equal an earlier column's bit for bit (as the ode and platform
+    columns of simulate do) has its digits found once and laid out in each
+    of its fields; columns equal only in value, such as 0.0 and -0.0, are
+    formatted apart.
     """
     fh.write(",".join(header) + "\n")
     # distinct columns as raw bits, and for each column the index of its bits
@@ -74,8 +87,9 @@ def _write_rows(fh, header, columns) -> None:
             match = len(distinct)
             distinct.append(bits)
         source.append(match)
-    for start in range(0, len(distinct[0]), CSV_BLOCK_ROWS):
-        block = [bits[start : start + CSV_BLOCK_ROWS].view(np.float64) for bits in distinct]
+    rows = CSV_BLOCK_VALUES // len(distinct)
+    for start in range(0, len(distinct[0]), rows):
+        block = [bits[start : start + rows].view(np.float64) for bits in distinct]
         fh.write(rows_text(block, source))
 
 
@@ -92,7 +106,8 @@ def _output(path):
     written as they are.  The file keeps its inode, so hard links, its mode
     and its owner stay.  An OSError raises UsageError: "cannot open output
     file" from the open (also for the ValueError of a path with a NUL
-    byte), "cannot write output file" from a write, flush, cut or close.
+    byte), "cannot write output file" from a write, flush, cut or close;
+    either shows a path that is not printable through repr.
     """
     if path in (None, "-"):
         yield sys.stdout
@@ -100,7 +115,7 @@ def _output(path):
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot open output file {path}: {exc}") from exc
+        raise UsageError(f"cannot open output file {shown_path(path)}: {exc}") from exc
     try:
         with open(fd, "w", newline="") as fh:
             try:
@@ -111,7 +126,7 @@ def _output(path):
                 if stat.S_ISREG(os.fstat(fd).st_mode):
                     os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     except OSError as exc:
-        raise UsageError(f"cannot write output file {path}: {exc}") from exc
+        raise UsageError(f"cannot write output file {shown_path(path)}: {exc}") from exc
 
 
 def derive_platform(pk: PkParams, route: Route) -> PlatformConfig:

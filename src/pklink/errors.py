@@ -58,6 +58,13 @@ class TruncationError(DetectionError):
     """Received signal ends before the expected payload is complete."""
 
 
+def shown_path(path) -> str:
+    """path as an error message shows it: as it is when printable, else
+    through repr, so that a NUL byte or a control character is escaped."""
+    text = str(path)
+    return text if text.isprintable() else repr(text)
+
+
 def exit_code_for(exc: BaseException) -> int:
     """Map an exception to the CLI exit code of its error category."""
     if isinstance(exc, UsageError):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PkParams, Route, _model
-from .errors import ConvergenceError, DataError, DomainError
+from .errors import ConvergenceError, DataError, DomainError, shown_path
 
 MAX_ITERATIONS = 200
 STEP_TOLERANCE = 1e-9
@@ -89,7 +89,7 @@ def _read_columns(path, column: str | int) -> tuple[np.ndarray, np.ndarray]:
         with open(path, "rb") as fh:
             data = fh.read()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        raise DataError(f"cannot read {shown_path(path)}: {exc}") from exc
     start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     # the header line ends at the first CR, LF or CR LF, as readline(newline="") reads it
     lf = data.find(b"\n", start)

@@ -294,7 +294,8 @@ class DetectionReport:
 
     @property
     def decisions(self) -> tuple[int, ...]:
-        return tuple(int(s > self.threshold) for s in self.statistics)
+        """Decision of each frame window: the preamble's, whose windows found the frame, then the payload's."""
+        return PREAMBLE + self.payload_bits
 
     def to_csv(self, fh):
         """Write per-symbol rows and a one-row summary section to an open text handle."""
@@ -322,8 +323,9 @@ class Receiver:
     (rows x samples).  decode recovers the mass-rate waveform with one
     transform along the samples axis and sums it per window; decide gives
     the same window sums, up to rounding, as one product with the
-    window-sum map, built from the solve on first use.  Windows are
-    aligned to the sample grid, so dt must divide the symbol period.
+    window-sum map, built on first use.  frames reads the frame out of
+    either's window sums.  Windows are aligned to the sample grid, so dt
+    must divide the symbol period.
     """
 
     def __init__(
@@ -343,63 +345,76 @@ class Receiver:
 
     @cached_property
     def window_map(self) -> np.ndarray:
-        """n x n_windows matrix taking records to their recovered mass per window."""
-        window_map = self.solve.window_map(self.window, self.n_windows)
+        """The n x n_windows matrix M with records @ M the recovered mass per window.
+
+        Column k sums recovered samples k*window to (k+1)*window - 1, times
+        dt.  solve.apply is a circular convolution with g = irfft(conj(H) /
+        denom), so recovered sample i takes record sample j with weight
+        g[(i - j) mod n_fft], and a window sum takes it with
+        s[(k*window - j) mod n_fft], s[l] = g[l] + ... + g[l + window - 1].
+        s is formed in the frequency domain, as g's transform times the
+        conjugate transform of a box of window ones: a running sum of g
+        would cancel badly where lam is 0 and g is large.
+        """
+        solve, window, n_windows = self.solve, self.window, self.n_windows
+        box = np.fft.rfft(np.ones(window), solve.n_fft)
+        s = np.fft.irfft(solve.H_conj / solve.denom * np.conj(box), solve.n_fft)
+        # r lists s at lags 1 - n ... n_windows * window, so column k,
+        # lags k*window - j for j = 0 ... n - 1, is a reversed run of r
+        r = s[np.arange(1 - solve.n, window * n_windows + 1) % solve.n_fft]
+        runs = np.lib.stride_tricks.sliding_window_view(r, solve.n)[: window * n_windows : window]
+        window_map = runs[:, ::-1].T.copy()
         window_map *= self.dt
         return window_map
 
-    def decode(self, records: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Recovered mass rates, per-window recovered mass and frame start per row.
-
-        The frame start is the first window of three consecutive windows
-        above threshold, counted in windows; it is -1 where a row has none.
-        """
+    def decode(self, records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Recovered mass rates and per-window recovered mass of each row."""
         _check_records(records)
         recovered = self.solve.apply(records)
         rows, w, n_windows = len(records), self.window, self.n_windows
         stats = recovered[:, : n_windows * w].reshape(rows, n_windows, w).sum(axis=2) * self.dt
-        return recovered, stats, self._starts(stats)
+        return recovered, stats
 
-    def decide(self, records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-window recovered mass and frame start per row, as decode gives them.
+    def decide(self, records: np.ndarray) -> np.ndarray:
+        """Per-window recovered mass of each row, as decode gives it.
 
         The window sums come from the window-sum map instead of the
         recovered waveform, so they equal decode's up to rounding.
         """
         _check_records(records)
-        stats = records @ self.window_map
-        return stats, self._starts(stats)
+        return records @ self.window_map
 
-    def _starts(self, stats: np.ndarray) -> np.ndarray:
+    def frames(self, stats: np.ndarray, payload_length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Frame start, payload decisions and whether the frame is held, per row of window sums.
+
+        A window decides 1 when its sum is above the threshold.  The frame
+        starts at the first of three consecutive windows that do, counted
+        in windows; the start is -1 where a row has none.  A row holds its
+        frame when it has a preamble and payload_length windows after it;
+        decisions of other rows are all zero.
+        """
         above = stats > self.threshold
         n_starts = self.n_windows - len(PREAMBLE) + 1
-        if n_starts <= 0:
-            return np.full(len(stats), -1)
-        runs = np.ones((len(stats), n_starts), dtype=bool)
-        for k in range(len(PREAMBLE)):
-            runs &= above[:, k : k + n_starts]
-        return np.where(runs.any(axis=1), runs.argmax(axis=1), -1)
-
-    def payload_decisions(self, stats: np.ndarray, starts: np.ndarray, payload_length: int):
-        """Payload decisions of each row and whether the row holds a whole frame.
-
-        A row holds its frame when it has a preamble and payload_length
-        windows after it; decisions of other rows are all zero.
-        """
+        starts = np.full(len(stats), -1)
+        if n_starts > 0:
+            runs = np.ones((len(stats), n_starts), dtype=bool)
+            for k in range(len(PREAMBLE)):
+                runs &= above[:, k : k + n_starts]
+            starts = np.where(runs.any(axis=1), runs.argmax(axis=1), -1)
         first = starts + len(PREAMBLE)
         held = (starts >= 0) & (first + payload_length <= self.n_windows)
         decisions = np.zeros((len(stats), payload_length), dtype=bool)
         if held.any():
             cols = first[held, np.newaxis] + np.arange(payload_length)
-            decisions[held] = np.take_along_axis(stats[held], cols, axis=1) > self.threshold
-        return decisions, held
+            decisions[held] = np.take_along_axis(above[held], cols, axis=1)
+        return starts, decisions, held
 
 
 def detect(
     received: SampledSignal,
     params: PkParams,
     config: ModulationConfig,
-    payload_length: int | None = None,
+    payload_length: int,
     lam: float | None = None,
     reference=None,
 ) -> DetectionReport:
@@ -408,36 +423,26 @@ def detect(
     Steps: deconvolve with the channel kernel to estimate the transmitted
     mass rate, integrate recovered mass over each symbol window, find the
     first window above THRESHOLD_FRACTION * dose_mass and verify the three
-    consecutive preamble windows, then threshold the payload windows.
-    These are the steps of a Receiver built for this one record and
-    applied to it as a one-row stack.  Windows are aligned to the sample
-    grid, so the sample step must divide the symbol period.  With
-    payload_length given, a signal ending before the payload completes
-    raises a truncation error; otherwise every full window after the
-    preamble is decoded.
+    consecutive preamble windows, then threshold the payload_length
+    payload windows.  These are the steps of a Receiver built for this one
+    record and applied to it as a one-row stack.  Windows are aligned to
+    the sample grid, so the sample step must divide the symbol period.
+    payload_length must be an integer >= 0; a signal ending before the
+    payload completes raises a truncation error.
     """
+    payload_length = _integer("payload_length", payload_length, minimum=0)
     receiver = Receiver(params, config, received.dt, len(received), lam)
     if receiver.n_windows < len(PREAMBLE):
         raise SynchronizationError("signal is shorter than the preamble")
-    recovered, stats, starts = receiver.decode(received.samples[np.newaxis])
+    recovered, stats = receiver.decode(received.samples[np.newaxis])
+    starts, decisions, held = receiver.frames(stats, payload_length)
     start = int(starts[0])
     if start < 0:
         raise SynchronizationError("no preamble found above threshold")
+    if not held[0]:
+        available = receiver.n_windows - start - len(PREAMBLE)
+        raise TruncationError(f"only {available} symbol windows after the preamble, expected {payload_length}")
 
-    available = receiver.n_windows - start - len(PREAMBLE)
-    if payload_length is None:
-        n_payload = available
-    else:
-        if payload_length < 0:
-            raise DomainError(f"payload_length must be >= 0, got {payload_length}")
-        if available < payload_length:
-            raise TruncationError(
-                f"only {available} symbol windows after the preamble, expected {payload_length}"
-            )
-        n_payload = payload_length
-
-    frame_stats = stats[0, start : start + len(PREAMBLE) + n_payload]
-    decisions, _ = receiver.payload_decisions(stats, starts, n_payload)
     payload_bits = tuple(int(b) for b in decisions[0])
     errors = None
     if reference is not None:
@@ -447,23 +452,12 @@ def detect(
         errors = sum(1 for x, y in zip(checked, payload_bits) if x != y)
     return DetectionReport(
         payload_bits=payload_bits,
-        statistics=tuple(float(s) for s in frame_stats),
+        statistics=tuple(float(s) for s in stats[0, start : start + len(PREAMBLE) + payload_length]),
         frame_start=received.t0 + start * receiver.window * received.dt,
         threshold=receiver.threshold,
         recovered=SampledSignal(t0=received.t0, dt=received.dt, samples=recovered[0], role=SignalRole.MASS_RATE),
         errors=errors,
     )
-
-
-def ber(sent, received) -> float:
-    """Bit error rate: Hamming distance over length; lengths must match."""
-    a = _check_bits(sent)
-    b = _check_bits(received)
-    if len(a) != len(b):
-        raise DomainError(f"bit sequences differ in length: {len(a)} vs {len(b)}")
-    if len(a) == 0:
-        raise DomainError("bit sequences are empty")
-    return sum(1 for x, y in zip(a, b) if x != y) / len(a)
 
 
 def ber_sweep(
@@ -476,7 +470,6 @@ def ber_sweep(
     spike_prob: float = 0.0,
     spike_scale: float = 0.0,
     dt: float | None = None,
-    lam: float | None = None,
 ) -> list[float]:
     """Monte-Carlo bit error rate across noise amplitudes.
 
@@ -489,12 +482,12 @@ def ber_sweep(
     sweep comparable point to point.  So frame j's payload and noise depend
     on neither n_frames nor SWEEP_BLOCK_FRAMES.  Frames whose preamble
     cannot be found count all payload bits as errors.
-    n_frames and payload_length must be integers of at least 1, dt (by
-    default a hundredth of the symbol period) finite and > 0, the grid
-    that spans the frame plus eight of the slowest rate's time constants
-    at most MAX_GRID_SAMPLES samples, and sigmas, spike_prob and
-    spike_scale valid for add_noise, or a DomainError names the argument
-    before anything is allocated.
+    n_frames and payload_length must be integers of at least 1, seed an
+    integer of at least 0, dt (by default a hundredth of the symbol
+    period) finite and > 0, the grid that spans the frame plus eight of
+    the slowest rate's time constants at most MAX_GRID_SAMPLES samples,
+    and sigmas, spike_prob and spike_scale valid for add_noise, or a
+    DomainError names the argument before anything is allocated.
 
     The Receiver is built once per call, and the sweep works on blocks of
     SWEEP_BLOCK_FRAMES frames.  A block's clean frames start as the sum of
@@ -510,6 +503,7 @@ def ber_sweep(
     """
     n_frames = _integer("n_frames", n_frames, minimum=1)
     payload_length = _integer("payload_length", payload_length, minimum=1)
+    seed = _integer("seed", seed, minimum=0)
     if dt is None:
         dt = config.symbol_period / 100.0
     if not (math.isfinite(dt) and dt > 0):
@@ -528,7 +522,7 @@ def ber_sweep(
         return pulse.samples
 
     pulses = [slot_pulse(event) for event in modulate_ook(frame((1,) * payload_length), config)]
-    receiver = Receiver(params, config, dt, n, lam)
+    receiver = Receiver(params, config, dt, n)
     preamble = sum(pulses[: len(PREAMBLE)])
     payloads = np.random.default_rng([seed, 0]).integers(0, 2, (n_frames, payload_length))
     noise = np.random.default_rng([seed, 1])
@@ -542,8 +536,7 @@ def ber_sweep(
         for bits, pulse in zip(payloads.astype(bool).T, pulses[len(PREAMBLE) :]):
             np.add(clean, pulse, out=clean, where=bits[:, np.newaxis])
         rows = _noisy_rows(clean, sigmas, spike_prob, spike_scale, noise)
-        stats, starts = receiver.decide(rows.reshape(-1, n))
-        decisions, held = receiver.payload_decisions(stats, starts, payload_length)
+        _, decisions, held = receiver.frames(receiver.decide(rows.reshape(-1, n)), payload_length)
         wrong = np.count_nonzero(decisions != np.tile(payloads, (k, 1)), axis=1)
         return np.where(held, wrong, payload_length).reshape(k, len(payloads)).sum(axis=1)
 

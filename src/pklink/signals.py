@@ -311,30 +311,6 @@ class TikhonovSolve:
         Y = np.fft.rfft(samples, self.n_fft, axis=-1)
         return np.fft.irfft(Y * self.H_conj / self.denom, self.n_fft, axis=-1)[..., : self.n]
 
-    def window_map(self, window: int, n_windows: int) -> np.ndarray:
-        """The n x n_windows matrix M with records @ M the window sums of apply(records).
-
-        Column k sums recovered samples k*window to (k+1)*window - 1, which
-        must lie below n.  apply is a circular convolution with
-        g = irfft(conj(H) / denom), so recovered sample i takes record
-        sample j with weight g[(i - j) mod n_fft], and a window sum takes
-        it with s[(k*window - j) mod n_fft], s[l] = g[l] + ... +
-        g[l + window - 1].  s is formed in the frequency domain, as g's
-        transform times the conjugate transform of a box of window ones: a
-        running sum of g would cancel badly where lam is 0 and g is large.
-        """
-        if window * n_windows > self.n:
-            raise ConfigurationError(
-                f"{n_windows} windows of {window} samples exceed the {self.n} recovered samples"
-            )
-        box = np.fft.rfft(np.ones(window), self.n_fft)
-        s = np.fft.irfft(self.H_conj / self.denom * np.conj(box), self.n_fft)
-        # r lists s at lags 1 - n ... n_windows * window, so column k,
-        # lags k*window - j for j = 0 ... n - 1, is a reversed run of r
-        r = s[np.arange(1 - self.n, window * n_windows + 1) % self.n_fft]
-        runs = np.lib.stride_tricks.sliding_window_view(r, self.n)[: window * n_windows : window]
-        return runs[:, ::-1].T.copy()
-
 
 def inverse_filter_iv(y: SampledSignal, params: PkParams) -> SampledSignal:
     """Reconstruct the intravenous mass-rate input from a concentration signal.

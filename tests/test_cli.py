@@ -30,7 +30,7 @@ from pklink.channel import (
     iv_concentration,
     peak_time,
 )
-from pklink.cli import COMMANDS, CSV_BLOCK_ROWS, build_parser, main, run_simulate
+from pklink.cli import COMMANDS, CSV_BLOCK_VALUES, build_parser, main, run_simulate
 from pklink.errors import EXIT_BROKEN_PIPE, ConfigurationError
 from pklink.scenarios import builtin_scenarios, resolve_scenario
 
@@ -274,10 +274,14 @@ def test_usage_errors_exit_with_2(tmp_path, capsys):
         assert err.startswith("error: cannot open output file")
         assert "Traceback" not in err
     # a NUL byte, which no path can hold (an in-process caller can pass one)
-    for argv in (["scenarios", "--out", "a\0b"], ["simulate", "--scenario", "link-ev", "--out", "x\0"]):
+    for argv, shown in (
+        (["scenarios", "--out", "a\0b"], "'a\\x00b'"),
+        (["simulate", "--scenario", "link-ev", "--out", "x\0"], "'x\\x00'"),
+    ):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: cannot open output file")
+        assert err.startswith(f"error: cannot open output file {shown}: ")
+        assert "\0" not in err
         assert "Traceback" not in err
     if os.path.exists("/dev/full"):  # a device that refuses every write with ENOSPC
         for argv in (["scenarios"], ["link", "--scenario", "link-ev"]):
@@ -359,7 +363,8 @@ def test_data_errors_exit_with_3(tmp_path, capsys):
     assert "Traceback" not in err
     assert main(["fit", "--csv", "a\0b", "--route", "extravascular", "--dose", "1"]) == 3  # a NUL byte
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot read")
+    assert err.startswith("error: cannot read 'a\\x00b': ")
+    assert "\0" not in err
     assert "Traceback" not in err
     undecodable = tmp_path / "latin1.csv"
     undecodable.write_bytes(b"t,conc\n0.0,1.0\n10.0,0.5\n# \xb5g/mL\n20.0,0.25\n")
@@ -583,23 +588,28 @@ def _reference_csv(header, columns) -> str:
     return ",".join(header) + "\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
 
 
-@pytest.mark.parametrize("n", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+# Rows of a block of the three distinct columns that simulate writes, and
+# that test_csv_writer_reuses_only_bit_equal_columns writes.
+BLOCK_ROWS_OF_3 = CSV_BLOCK_VALUES // 3
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS_OF_3 - 1, BLOCK_ROWS_OF_3, BLOCK_ROWS_OF_3 + 1])
 def test_csv_writer_reuses_only_bit_equal_columns(n):
     rng = np.random.default_rng(n)
-    t = np.arange(n) * 0.5
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     zeros = np.zeros(n)
     signed = zeros.copy()
     signed[n // 2] = -0.0  # equal in value to zeros, not in bits
-    # a repeated column, a strided view of its values, and 0.0 against -0.0
+    # a repeated column, a strided view of its values, and 0.0 against -0.0:
+    # three distinct columns
     copy = values.copy()
     strided = np.repeat(values, 2)[::2]
-    header = ("t", "a", "b", "c", "z", "s", "z2")
-    columns = [t, values, copy, strided, zeros, signed, zeros]
+    header = ("a", "b", "c", "z", "s", "z2")
+    columns = [values, copy, strided, zeros, signed, zeros]
     fh = io.StringIO()
     cli._write_rows(fh, header, columns)
     assert fh.getvalue() == _reference_csv(header, columns)
-    assert fh.getvalue().splitlines()[1 + n // 2].split(",")[4:7] == ["0.0", "-0.0", "0.0"]
+    assert fh.getvalue().splitlines()[1 + n // 2].split(",")[3:6] == ["0.0", "-0.0", "0.0"]
 
 
 def test_simulate_engines_agree_bit_for_bit():
@@ -642,7 +652,7 @@ def _assert_csv_outputs_read_as_repr(tmp_path, name, dt=None, horizon=None):
     scenario = resolve_scenario(name).with_overrides(dt=dt, horizon=horizon)
     overrides = (["--dt", repr(dt)] if dt else []) + (["--horizon", repr(horizon)] if horizon else [])
     n = scenario.grid_size()
-    assert n > CSV_BLOCK_ROWS
+    assert n > BLOCK_ROWS_OF_3  # more than one block of simulate's, and so of impulse's 7 distinct columns
     sim = tmp_path / "sim.csv"
     assert main(["simulate", "--scenario", name, "--out", str(sim)] + overrides) == 0
     signals, deviations = run_simulate(scenario)
@@ -665,9 +675,10 @@ def _assert_csv_outputs_read_as_repr(tmp_path, name, dt=None, horizon=None):
 
 @pytest.mark.parametrize("dt, horizon", [(None, None), (0.5, None), (None, 8191.0)])
 def test_csv_writer_formats_every_value_as_its_repr(tmp_path, dt, horizon):
-    # bench-ev has 8001 rows; dt 0.5 gives 16001 (not a multiple of the
-    # block) and horizon 8191 gives 8192, a whole number of blocks.
-    assert 16001 % CSV_BLOCK_ROWS != 0 and 8192 % CSV_BLOCK_ROWS == 0
+    # bench-ev has 8001 rows; dt 0.5 gives 16001 (not a multiple of
+    # simulate's block) and horizon 8191 gives 8192, a whole number of
+    # simulate's blocks; impulse's blocks of 7 distinct columns divide none.
+    assert 16001 % BLOCK_ROWS_OF_3 != 0 and 8192 % BLOCK_ROWS_OF_3 == 0
     _assert_csv_outputs_read_as_repr(tmp_path, "bench-ev", dt, horizon)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from pklink import cli
-from pklink.channel import Route, ev_concentration
+from pklink.channel import Normalization, Route, ev_concentration, impulse_response, peak_time
 from pklink.fitting import ConcentrationSeries, fit_least_squares, fit_residuals
 from pklink.scenarios import resolve_scenario
 
@@ -24,9 +24,9 @@ MB = 1e6
 FROM_CSV_BUDGET = 3.9 * MB  # the file's 2.1 MB of bytes and the 1.2 MB table
 FIT_BUDGET = 4.8 * MB  # 7 arrays: the model's three, the residual, the Jacobian's three columns
 SIMULATE_BUDGET = 5.4 * MB  # 8 arrays: two engines' curves, the twin's input, jumps, states, scan blocks
-# One block of CSV_BLOCK_ROWS rows at a time, whatever the grid: the block's
-# values, their digits and layout, its text; formatting whole columns at
-# once would take megabytes.
+# One block of CSV_BLOCK_VALUES values at a time, whatever the grid and the
+# columns: the block's values, their digits and layout, its text;
+# formatting whole columns at once would take megabytes.
 WRITE_ROWS_BUDGET = 0.64 * MB
 
 
@@ -76,7 +76,17 @@ def test_simulate_stays_in_budget():
 
 
 def test_csv_writer_stays_in_budget():
+    # simulate's columns on rat-oral (3 distinct) and impulse's on bench-ev (7 distinct)
     signals, _ = cli.run_simulate(resolve_scenario("rat-oral"))
     columns = [signals["analytic"].times] + [signals[e].samples for e in cli.ENGINES]
-    assert len(columns[0]) > 64 * cli.CSV_BLOCK_ROWS
+    assert len(columns[0]) > 64 * cli.CSV_BLOCK_VALUES // 3
     assert _traced_peak(lambda: cli._write_rows(_Discard(), ("t",) + cli.ENGINES, columns)) <= WRITE_ROWS_BUDGET
+    scenario = resolve_scenario("bench-ev")
+    t = np.arange(scenario.grid_size()) * scenario.dt
+    columns = [t]
+    for route in (Route.INTRAVENOUS, Route.EXTRAVASCULAR):
+        conc = impulse_response(scenario.pk, route, t, Normalization.CONCENTRATION)
+        peak = impulse_response(scenario.pk, route, peak_time(scenario.pk, route), Normalization.CONCENTRATION)
+        columns += [impulse_response(scenario.pk, route, t, Normalization.AMOUNT), conc, conc / peak]
+    assert len(columns[0]) > 16 * cli.CSV_BLOCK_VALUES // 7
+    assert _traced_peak(lambda: cli._write_rows(_Discard(), ("t",) * 7, columns)) <= WRITE_ROWS_BUDGET

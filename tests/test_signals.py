@@ -355,23 +355,15 @@ def test_tikhonov_solve_decodes_a_stack_row_by_row(bench_pk):
         TikhonovSolve(h.samples, dt, n, lam=float("nan"))
 
 
-def test_tikhonov_solve_sizes_and_window_map(bench_pk):
-    # the record alone sizes the transform; the window-sum map reproduces
-    # apply's window sums, also when n_fft is short of 2 * n - 1 and apply
-    # wraps around
-    rng = np.random.default_rng(8)
+def test_tikhonov_solve_is_sized_by_record_and_kernel(bench_pk):
+    # the transform is sized for the linear convolution of the record and
+    # the kernel, also when the kernel is shorter than the record
     dt = 6.0
-    cases = ((1984, 1984, 1984, 100, 4000), (3001, 400, 2500, 7, 3456))
-    for n, m, extent, window, n_fft in cases:
+    cases = ((1984, 1984, 4000), (3001, 400, 3456))
+    for n, m, n_fft in cases:
         h = sampled_kernel(bench_pk, Route.EXTRAVASCULAR, dt, m)
         solve = TikhonovSolve(h.samples, dt, n)
         assert solve.n_fft == next_fast_len(n + m - 1) == n_fft
-        n_windows = extent // window
-        stack = rng.random((3, n))
-        sums = solve.apply(stack)[:, : n_windows * window].reshape(3, n_windows, window).sum(axis=2)
-        assert rel_max(stack @ solve.window_map(window, n_windows), sums) < 1e-13
-        with pytest.raises(ConfigurationError):
-            solve.window_map(window, n // window + 1)
 
 
 def test_regularization_tames_noise_amplification(bench_pk):
