@@ -104,15 +104,15 @@ def _read_columns(path, column: str | int) -> tuple[np.ndarray, np.ndarray]:
     text = None if ascii_body else _decode(path, data, end, len(data))  # for the line loop
     names = header.strip().split(",")
     if len(names) < 2 or names[0] != "t":
-        raise DataError(f"{path}: line 1: expected a header starting with t")
+        raise DataError(f"{shown_path(path)}: line 1: expected a header starting with t")
     if isinstance(column, str):
         if column not in names:
-            raise DataError(f"{path}: line 1: no column named {column!r} in {names}")
+            raise DataError(f"{shown_path(path)}: line 1: no column named {column!r} in {names}")
         idx = names.index(column)
     else:
         idx = int(column)
         if not (1 <= idx < len(names)):
-            raise DataError(f"{path}: line 1: column index {idx} out of range")
+            raise DataError(f"{shown_path(path)}: line 1: column index {idx} out of range")
     table = None if text is not None else _read_table(data, end, len(names))
     if table is not None:
         return table[:, 0], table[:, idx]
@@ -127,7 +127,7 @@ def _decode(path, data: bytes, begin: int, end: int) -> str:
         return str(memoryview(data)[begin:end], "utf-8")
     except UnicodeDecodeError as exc:
         where = UnicodeDecodeError(exc.encoding, data, begin + exc.start, begin + exc.end, exc.reason)
-        raise DataError(f"cannot decode {path}: {where}") from exc
+        raise DataError(f"cannot decode {shown_path(path)}: {where}") from exc
 
 
 def _read_table(data: bytes, begin: int, width: int) -> np.ndarray | None:
@@ -173,12 +173,12 @@ def _parse_lines(path, lines: list[str], width: int, idx: int) -> tuple[np.ndarr
             continue
         parts = line.split(",")
         if len(parts) != width:
-            raise DataError(f"{path}: line {lineno}: expected {width} columns, got {len(parts)}")
+            raise DataError(f"{shown_path(path)}: line {lineno}: expected {width} columns, got {len(parts)}")
         try:
             times.append(float(parts[0]))
             values.append(float(parts[idx]))
         except ValueError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from exc
+            raise DataError(f"{shown_path(path)}: line {lineno}: {exc}") from exc
     return np.array(times), np.array(values)
 
 

@@ -23,8 +23,6 @@ from .errors import (
     SynchronizationError,
     TruncationError,
 )
-# deconvolve is not called here but stays importable from this module: the
-# benchmark tracer (perfbench/spans.py) wraps it under this name.
 from .signals import (
     MAX_GRID_SAMPLES,
     SampledSignal,
@@ -315,72 +313,57 @@ def _check_records(records: np.ndarray) -> None:
 
 
 class Receiver:
-    """Deconvolution receiver for records of n samples at step dt.
+    """The frame geometry and decision threshold for records of n samples at step dt.
 
-    Built once per (params, route, dt, n, lam), it owns the channel kernel,
-    the cached Tikhonov solve and the decision threshold
+    Built once per (params, route, dt, n), it holds the symbol window in
+    samples, the number of whole windows in a record and the threshold
     THRESHOLD_FRACTION * dose_mass, and works on a 2-D stack of records
-    (rows x samples).  decode recovers the mass-rate waveform with one
-    transform along the samples axis and sums it per window; decide gives
-    the same window sums, up to rounding, as one product with the
-    window-sum map, built on first use.  frames reads the frame out of
-    either's window sums.  Windows are aligned to the sample grid, so dt
-    must divide the symbol period.
+    (rows x samples).  decide sums each record's recovered mass per window
+    through the window-sum map, built on first use; frames reads the frame
+    out of such window sums.  Windows are aligned to the sample grid, so dt
+    must divide the symbol period, and a record must hold a window for
+    each preamble bit.
     """
 
-    def __init__(
-        self,
-        params: PkParams,
-        config: ModulationConfig,
-        dt: float,
-        n: int,
-        lam: float | None = None,
-    ):
-        self.dt = dt
+    def __init__(self, params: PkParams, config: ModulationConfig, dt: float, n: int):
+        self.params, self.route = params, config.route
+        self.dt, self.n = dt, n
         self.window = symbol_samples(config, dt)
         self.n_windows = n // self.window
-        kernel = sampled_kernel(params, config.route, dt, n)
-        self.solve = TikhonovSolve(kernel.samples, dt, n, lam)
+        if self.n_windows < len(PREAMBLE):
+            raise SynchronizationError("signal is shorter than the preamble")
         self.threshold = THRESHOLD_FRACTION * config.dose_mass
 
     @cached_property
     def window_map(self) -> np.ndarray:
         """The n x n_windows matrix M with records @ M the recovered mass per window.
 
-        Column k sums recovered samples k*window to (k+1)*window - 1, times
-        dt.  solve.apply is a circular convolution with g = irfft(conj(H) /
+        The recovery is the Tikhonov solve of the record-length channel
+        kernel at the default weight, as deconvolve makes it.  Column k
+        sums recovered samples k*window to (k+1)*window - 1, times dt.
+        solve.apply is a circular convolution with g = irfft(conj(H) /
         denom), so recovered sample i takes record sample j with weight
         g[(i - j) mod n_fft], and a window sum takes it with
         s[(k*window - j) mod n_fft], s[l] = g[l] + ... + g[l + window - 1].
         s is formed in the frequency domain, as g's transform times the
         conjugate transform of a box of window ones: a running sum of g
-        would cancel badly where lam is 0 and g is large.
+        would cancel badly where g is large.
         """
-        solve, window, n_windows = self.solve, self.window, self.n_windows
+        n, window, n_windows = self.n, self.window, self.n_windows
+        solve = TikhonovSolve(sampled_kernel(self.params, self.route, self.dt, n).samples, self.dt, n)
         box = np.fft.rfft(np.ones(window), solve.n_fft)
         s = np.fft.irfft(solve.H_conj / solve.denom * np.conj(box), solve.n_fft)
         # r lists s at lags 1 - n ... n_windows * window, so column k,
         # lags k*window - j for j = 0 ... n - 1, is a reversed run of r
-        r = s[np.arange(1 - solve.n, window * n_windows + 1) % solve.n_fft]
-        runs = np.lib.stride_tricks.sliding_window_view(r, solve.n)[: window * n_windows : window]
+        r = s[np.arange(1 - n, window * n_windows + 1) % solve.n_fft]
+        runs = np.lib.stride_tricks.sliding_window_view(r, n)[: window * n_windows : window]
         window_map = runs[:, ::-1].T.copy()
         window_map *= self.dt
         return window_map
 
-    def decode(self, records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Recovered mass rates and per-window recovered mass of each row."""
-        _check_records(records)
-        recovered = self.solve.apply(records)
-        rows, w, n_windows = len(records), self.window, self.n_windows
-        stats = recovered[:, : n_windows * w].reshape(rows, n_windows, w).sum(axis=2) * self.dt
-        return recovered, stats
-
     def decide(self, records: np.ndarray) -> np.ndarray:
-        """Per-window recovered mass of each row, as decode gives it.
-
-        The window sums come from the window-sum map instead of the
-        recovered waveform, so they equal decode's up to rounding.
-        """
+        """Per-window recovered mass of each row: the window sums of
+        deconvolve's waveform, up to rounding."""
         _check_records(records)
         return records @ self.window_map
 
@@ -395,12 +378,10 @@ class Receiver:
         """
         above = stats > self.threshold
         n_starts = self.n_windows - len(PREAMBLE) + 1
-        starts = np.full(len(stats), -1)
-        if n_starts > 0:
-            runs = np.ones((len(stats), n_starts), dtype=bool)
-            for k in range(len(PREAMBLE)):
-                runs &= above[:, k : k + n_starts]
-            starts = np.where(runs.any(axis=1), runs.argmax(axis=1), -1)
+        runs = np.ones((len(stats), n_starts), dtype=bool)
+        for k in range(len(PREAMBLE)):
+            runs &= above[:, k : k + n_starts]
+        starts = np.where(runs.any(axis=1), runs.argmax(axis=1), -1)
         first = starts + len(PREAMBLE)
         held = (starts >= 0) & (first + payload_length <= self.n_windows)
         decisions = np.zeros((len(stats), payload_length), dtype=bool)
@@ -424,23 +405,24 @@ def detect(
     mass rate, integrate recovered mass over each symbol window, find the
     first window above THRESHOLD_FRACTION * dose_mass and verify the three
     consecutive preamble windows, then threshold the payload_length
-    payload windows.  These are the steps of a Receiver built for this one
-    record and applied to it as a one-row stack.  Windows are aligned to
-    the sample grid, so the sample step must divide the symbol period.
-    payload_length must be an integer >= 0; a signal ending before the
-    payload completes raises a truncation error.
+    payload windows.  The windows and the frame are those of a Receiver
+    built for this one record, its window sums a one-row stack.  Windows
+    are aligned to the sample grid, so the sample step must divide the
+    symbol period.  payload_length must be an integer >= 0; a signal ending
+    before the payload completes raises a truncation error.
     """
     payload_length = _integer("payload_length", payload_length, minimum=0)
-    receiver = Receiver(params, config, received.dt, len(received), lam)
-    if receiver.n_windows < len(PREAMBLE):
-        raise SynchronizationError("signal is shorter than the preamble")
-    recovered, stats = receiver.decode(received.samples[np.newaxis])
+    dt, n = received.dt, len(received)
+    receiver = Receiver(params, config, dt, n)
+    recovered = deconvolve(received, sampled_kernel(params, config.route, dt, n), lam=lam, output_length=n)
+    w, n_windows = receiver.window, receiver.n_windows
+    stats = recovered.samples[: n_windows * w].reshape(1, n_windows, w).sum(axis=2) * dt
     starts, decisions, held = receiver.frames(stats, payload_length)
     start = int(starts[0])
     if start < 0:
         raise SynchronizationError("no preamble found above threshold")
     if not held[0]:
-        available = receiver.n_windows - start - len(PREAMBLE)
+        available = n_windows - start - len(PREAMBLE)
         raise TruncationError(f"only {available} symbol windows after the preamble, expected {payload_length}")
 
     payload_bits = tuple(int(b) for b in decisions[0])
@@ -453,9 +435,9 @@ def detect(
     return DetectionReport(
         payload_bits=payload_bits,
         statistics=tuple(float(s) for s in stats[0, start : start + len(PREAMBLE) + payload_length]),
-        frame_start=received.t0 + start * receiver.window * received.dt,
+        frame_start=received.t0 + start * w * dt,
         threshold=receiver.threshold,
-        recovered=SampledSignal(t0=received.t0, dt=received.dt, samples=recovered[0], role=SignalRole.MASS_RATE),
+        recovered=recovered,
         errors=errors,
     )
 

@@ -21,7 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import yaml
 
 from .channel import DoseEvent, DoseSchedule, PkParams, Route
-from .errors import PkLinkError, UsageError
+from .errors import PkLinkError, UsageError, shown_path
 from .modem import REFERENCE_PAYLOAD, ModulationConfig, frame, modulate_ook
 from .signals import MAX_GRID_SAMPLES
 from .testbed import PlatformConfig, plan_flows, plan_volumes
@@ -174,6 +174,10 @@ class Scenario:
             raise UsageError("scenario field payload: required when modulation is present")
         if self.payload is not None and not self.payload:
             raise UsageError("scenario field payload: must hold at least one bit")
+        for key in ("platform", "modulation"):
+            part = getattr(self, key)
+            if part is not None and part.route is not self.route:
+                raise UsageError(f"scenario field {key}.route: must be the scenario's route, {self.route.value}")
         nominal = self.nominal_volumes
         if nominal is not None and not all(math.isfinite(v) and v > 0 for v in nominal):
             raise UsageError(f"scenario field nominal_volumes: must be positive and finite, got {list(nominal)}")
@@ -342,9 +346,9 @@ class Scenario:
             with open(path) as fh:
                 text = fh.read()
         except OSError as exc:
-            raise UsageError(f"cannot read scenario file {path}: {exc}") from exc
+            raise UsageError(f"cannot read scenario file {shown_path(path)}: {exc}") from exc
         except UnicodeDecodeError as exc:
-            raise UsageError(f"cannot decode scenario file {path}: {exc}") from exc
+            raise UsageError(f"cannot decode scenario file {shown_path(path)}: {exc}") from exc
         return cls.from_text(text)
 
 

@@ -267,6 +267,13 @@ def test_usage_errors_exit_with_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: scenario field {field}")
         assert "Traceback" not in err
+    # a scenario path that is not printable shows through repr, so the error is one line
+    latin1 = tmp_path / "bad\nscen.yaml"
+    latin1.write_bytes(resolve_scenario("link-ev").to_text().replace("pump dosing", "\xb5g doses").encode("latin-1"))
+    assert main(["link", "--scenario", str(latin1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot decode scenario file {str(latin1)!r}: ")
+    assert err.count("\n") == 1
     out = tmp_path / "missing-dir" / "x.csv"  # an output path that cannot be opened
     for argv in (["simulate", "--scenario", "bench-iv"], ["link", "--scenario", "link-iv"]):
         assert main(argv + ["--out", str(out)]) == 2
@@ -373,6 +380,15 @@ def test_data_errors_exit_with_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot decode {undecodable}")
     assert "Traceback" not in err
+    # a path that is not printable shows through repr, so each error is one line
+    unprintable = tmp_path / "bad\nname.csv"
+    for body, message in (
+        ("t,conc\n0.0,1.0\n10.0,oops\n", "line 3: could not convert string to float: 'oops'"),
+        ("x,conc\n0.0,1.0\n", "line 1: expected a header starting with t"),
+    ):
+        unprintable.write_text(body)
+        assert main(["fit", "--csv", str(unprintable), "--route", "intravenous", "--dose", "10"]) == 3
+        assert capsys.readouterr().err == f"error: {str(unprintable)!r}: {message}\n"
     # a word str.isdigit accepts but int refuses names a column, not an index
     good = tmp_path / "good.csv"
     good.write_text("t,conc\n0.0,1.0\n10.0,0.5\n")

@@ -114,6 +114,19 @@ def test_payload_accepts_string_or_list():
         replace(resolve_scenario("link-ev"), payload=())
 
 
+@pytest.mark.parametrize("key", ["platform", "modulation"])
+def test_a_scenario_refuses_a_part_on_another_route(key):
+    # link would send on the part's route and detect with the scenario's
+    # kernel, and the scenario's file holds one route
+    scenario = resolve_scenario("link-iv")
+    part = replace(getattr(scenario, key), route=Route.EXTRAVASCULAR)
+    with pytest.raises(UsageError, match=f"^scenario field {key}.route: must be the scenario's route, intravenous$"):
+        replace(scenario, **{key: part})
+    # the scenario's own route, changed alone, leaves both parts behind
+    with pytest.raises(UsageError, match="^scenario field platform.route: "):
+        replace(scenario, route=Route.EXTRAVASCULAR)
+
+
 def test_overrides_and_grid_size():
     scenario = resolve_scenario("bench-iv")
     changed = scenario.with_overrides(dt=2.0, horizon=4000.0, seed=12)

@@ -72,7 +72,7 @@ def test_every_bench_module_runs_once():
         "test_closed_form::test_closed_form",
         "test_csv_writer::test_write_rows",
         "test_dense_paths::test_dense_path",
-        "test_transforms::test_receiver_build_and_decode",
+        "test_transforms::test_receiver_build_and_recover",
     ]
 
 
