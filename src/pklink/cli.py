@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .channel import PkParams, Route, Normalization, impulse_response, peak_time, superpose
+from .channel import Route, Normalization, impulse_response, peak_time, superpose
 from .errors import (
     EXIT_BROKEN_PIPE,
     ConfigurationError,
@@ -129,21 +129,18 @@ def _output(path):
         raise UsageError(f"cannot write output file {shown_path(path)}: {exc}") from exc
 
 
-def derive_platform(pk: PkParams, route: Route) -> PlatformConfig:
-    """Hardware twin for a parameter set when a scenario supplies none.
-
-    Both vessels take the distribution volume and the pumps are planned
-    from the rate constants, so the twin realizes the rates exactly.
-    """
-    k_a = pk.k_a if pk.k_a is not None else pk.k_e
-    q_a, q_e = plan_flows(k_a, pk.k_e, pk.V, pk.V)
-    return PlatformConfig(Q_a=q_a, Q_e=q_e, V_a=pk.V, V_b=pk.V, route=route)
-
-
 def scenario_platform(scenario: Scenario) -> PlatformConfig:
+    """The scenario's hardware twin, or one derived from its parameters.
+
+    A derived twin gives both vessels the distribution volume and plans
+    the pumps from the rate constants, so it realizes the rates exactly.
+    """
     if scenario.platform is not None:
         return scenario.platform
-    return derive_platform(scenario.pk, scenario.route)
+    pk = scenario.pk
+    k_a = pk.k_a if pk.k_a is not None else pk.k_e
+    q_a, q_e = plan_flows(k_a, pk.k_e, pk.V, pk.V)
+    return PlatformConfig(Q_a=q_a, Q_e=q_e, V_a=pk.V, V_b=pk.V, route=scenario.route)
 
 
 def run_engine(scenario: Scenario, engine: str) -> SampledSignal:

@@ -27,11 +27,11 @@ from .signals import (
     MAX_GRID_SAMPLES,
     SampledSignal,
     SignalRole,
-    TikhonovSolve,
     _integer,
     deconvolve,
     sample,
     sampled_kernel,
+    tikhonov_filter,
 )
 
 PREAMBLE = (1, 1, 1)
@@ -57,28 +57,6 @@ def _check_bits(bits) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class BitFrame:
-    """Preamble plus payload; the preamble is always three ones."""
-
-    payload: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "payload", _check_bits(self.payload))
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return PREAMBLE + self.payload
-
-    def __len__(self):
-        return len(self.bits)
-
-
-def frame(payload) -> BitFrame:
-    """Wrap payload bits in a frame with the standard preamble."""
-    return BitFrame(payload=tuple(payload))
-
-
-@dataclass(frozen=True)
 class ModulationConfig:
     """Symbol timing and dosing for on-off keying.
 
@@ -93,6 +71,8 @@ class ModulationConfig:
     pump_rate: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.route, Route):
+            raise DomainError(f"route must be a Route, got {self.route!r}")
         if not (math.isfinite(self.symbol_period) and self.symbol_period > 0):
             raise DomainError(f"symbol_period must be positive, got {self.symbol_period}")
         if not (math.isfinite(self.dose_mass) and self.dose_mass > 0):
@@ -111,14 +91,17 @@ class ModulationConfig:
         return 0.0 if self.pump_rate is None else self.dose_mass / self.pump_rate
 
 
-def modulate_ook(bit_frame: BitFrame, config: ModulationConfig, start: float = 0.0) -> DoseSchedule:
-    """Dose schedule for a frame: one dose at the start of each 1-bit slot."""
+def modulate_ook(payload, config: ModulationConfig, start: float = 0.0) -> DoseSchedule:
+    """Dose schedule for the frame of PREAMBLE then the payload bits, its
+    slots config.symbol_period apart from start: one dose at the start of
+    each 1-bit slot.  Bits other than 0 and 1 raise DomainError."""
+    bits = PREAMBLE + _check_bits(payload)
     if not (math.isfinite(start) and start >= 0):
         raise DomainError(f"start must be >= 0, got {start}")
     duration = config.dose_duration
     events = [
         DoseEvent(time=start + i * config.symbol_period, mass=config.dose_mass, duration=duration)
-        for i, bit in enumerate(bit_frame.bits)
+        for i, bit in enumerate(bits)
         if bit == 1
     ]
     return DoseSchedule(events=tuple(events))
@@ -338,10 +321,10 @@ class Receiver:
     def window_map(self) -> np.ndarray:
         """The n x n_windows matrix M with records @ M the recovered mass per window.
 
-        The recovery is the Tikhonov solve of the record-length channel
-        kernel at the default weight, as deconvolve makes it.  Column k
+        The recovery is deconvolve's, through tikhonov_filter of the
+        record-length channel kernel at the default weight.  Column k
         sums recovered samples k*window to (k+1)*window - 1, times dt.
-        solve.apply is a circular convolution with g = irfft(conj(H) /
+        That recovery is a circular convolution with g = irfft(conj(H) /
         denom), so recovered sample i takes record sample j with weight
         g[(i - j) mod n_fft], and a window sum takes it with
         s[(k*window - j) mod n_fft], s[l] = g[l] + ... + g[l + window - 1].
@@ -350,12 +333,13 @@ class Receiver:
         would cancel badly where g is large.
         """
         n, window, n_windows = self.n, self.window, self.n_windows
-        solve = TikhonovSolve(sampled_kernel(self.params, self.route, self.dt, n).samples, self.dt, n)
-        box = np.fft.rfft(np.ones(window), solve.n_fft)
-        s = np.fft.irfft(solve.H_conj / solve.denom * np.conj(box), solve.n_fft)
+        kernel = sampled_kernel(self.params, self.route, self.dt, n)
+        n_fft, h_conj, denom = tikhonov_filter(kernel.samples, self.dt, n)
+        box = np.fft.rfft(np.ones(window), n_fft)
+        s = np.fft.irfft(h_conj / denom * np.conj(box), n_fft)
         # r lists s at lags 1 - n ... n_windows * window, so column k,
         # lags k*window - j for j = 0 ... n - 1, is a reversed run of r
-        r = s[np.arange(1 - n, window * n_windows + 1) % solve.n_fft]
+        r = s[np.arange(1 - n, window * n_windows + 1) % n_fft]
         runs = np.lib.stride_tricks.sliding_window_view(r, n)[: window * n_windows : window]
         window_map = runs[:, ::-1].T.copy()
         window_map *= self.dt
@@ -503,8 +487,8 @@ def ber_sweep(
         pulse = sample(lambda t: superpose(params, config.route, one, t), 0.0, dt, n, SignalRole.CONCENTRATION)
         return pulse.samples
 
-    pulses = [slot_pulse(event) for event in modulate_ook(frame((1,) * payload_length), config)]
     receiver = Receiver(params, config, dt, n)
+    pulses = [slot_pulse(event) for event in modulate_ook((1,) * payload_length, config)]
     preamble = sum(pulses[: len(PREAMBLE)])
     payloads = np.random.default_rng([seed, 0]).integers(0, 2, (n_frames, payload_length))
     noise = np.random.default_rng([seed, 1])

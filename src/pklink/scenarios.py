@@ -22,7 +22,7 @@ import yaml
 
 from .channel import DoseEvent, DoseSchedule, PkParams, Route
 from .errors import PkLinkError, UsageError, shown_path
-from .modem import REFERENCE_PAYLOAD, ModulationConfig, frame, modulate_ook
+from .modem import REFERENCE_PAYLOAD, ModulationConfig, modulate_ook
 from .signals import MAX_GRID_SAMPLES
 from .testbed import PlatformConfig, plan_flows, plan_volumes
 
@@ -186,7 +186,7 @@ class Scenario:
         """The dose schedule this scenario transmits."""
         if self.doses is not None:
             return self.doses
-        return modulate_ook(frame(self.payload), self.modulation)
+        return modulate_ook(self.payload, self.modulation)
 
     def with_overrides(
         self,
@@ -349,6 +349,9 @@ class Scenario:
             raise UsageError(f"cannot read scenario file {shown_path(path)}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise UsageError(f"cannot decode scenario file {shown_path(path)}: {exc}") from exc
+        except ValueError as exc:
+            # a path with a NUL byte
+            raise UsageError(f"cannot read scenario file {shown_path(path)}: {exc}") from exc
         return cls.from_text(text)
 
 

@@ -253,7 +253,7 @@ def deconvolve(
     """Recover the input signal x from y = convolve(x, h).
 
     Solves the Tikhonov-regularized least-squares problem in the Fourier
-    domain (TikhonovSolve); lam defaults to 1e-3 * max |H|^2 where H is the
+    domain (tikhonov_filter); lam defaults to 1e-3 * max |H|^2 where H is the
     dt-scaled transform of h, and lam = 0 gives exact recovery of full
     noiseless convolutions.  The output holds output_length samples
     (default len(y) - len(h) + 1), at most len(y); an output_length that
@@ -268,48 +268,39 @@ def deconvolve(
         raise ConfigurationError("deconvolution output would be empty (kernel longer than signal)")
     if n_out > len(y):
         raise ConfigurationError(f"deconvolution output of {n_out} samples exceeds the {len(y)}-sample record")
-    x_hat = TikhonovSolve(h.samples, y.dt, len(y), lam).apply(y.samples)[:n_out]
+    n_fft, h_conj, denom = tikhonov_filter(h.samples, y.dt, len(y), lam)
+    x_hat = np.fft.irfft(np.fft.rfft(y.samples, n_fft) * h_conj / denom, n_fft)[:n_out]
     return SampledSignal(t0=y.t0 - h.t0, dt=y.dt, samples=x_hat, role=SignalRole.MASS_RATE)
 
 
-class TikhonovSolve:
+def tikhonov_filter(
+    taps: np.ndarray, dt: float, n: int, lam: float | None = None
+) -> tuple[int, np.ndarray, np.ndarray]:
     """Tikhonov-regularized frequency-domain inverse of one kernel.
 
-    Built once for kernel taps h (sample step dt) and records of n samples,
-    it holds the transform size n_fft = next_fast_len(n + len(taps) - 1),
-    the dt-scaled kernel transform H, conj(H), denom = |H|^2 + lam and lam,
-    and applies them to a 1-D record or to a 2-D stack (rows x samples)
-    with one rfft/irfft along the samples axis: x = irfft(Y * conj(H) /
-    denom), n samples per record.  lam defaults to 1e-3 * max |H|^2.
+    For kernel taps h (sample step dt) and records of n samples, returns
+    (n_fft, conj(H), |H|^2 + lam) with n_fft = next_fast_len(n + len(taps)
+    - 1) and H the dt-scaled kernel transform; a record y is recovered as
+    irfft(rfft(y, n_fft) * conj(H) / (|H|^2 + lam), n_fft)[:n].  lam
+    defaults to 1e-3 * max |H|^2.
     """
-
-    def __init__(self, taps: np.ndarray, dt: float, n: int, lam: float | None = None):
-        if not np.any(taps):
-            raise IllConditionedError("kernel is identically zero")
-        self.n = n
-        self.n_fft = next_fast_len(n + len(taps) - 1)
-        self.H = np.fft.rfft(taps, self.n_fft) * dt
-        # taps near the largest double overflow |H|^2; that is refused below
-        with np.errstate(over="ignore"):
-            power = np.abs(self.H) ** 2
-        if not np.all(np.isfinite(power)):
-            raise IllConditionedError("kernel transform overflows: |H|^2 is not finite")
-        if lam is None:
-            lam = 1e-3 * float(np.max(power))
-        if not lam >= 0:
-            raise DomainError(f"regularization weight must be >= 0, got {lam}")
-        self.lam = lam
-        self.H_conj = np.conj(self.H)
-        self.denom = power + lam
-        if np.any(self.denom == 0.0):
-            raise IllConditionedError("kernel transform vanishes and no regularization was given")
-
-    def apply(self, samples: np.ndarray) -> np.ndarray:
-        """Recovered input of each record along the last axis, n samples each."""
-        if samples.shape[-1] != self.n:
-            raise ConfigurationError(f"records have {samples.shape[-1]} samples, the solve expects {self.n}")
-        Y = np.fft.rfft(samples, self.n_fft, axis=-1)
-        return np.fft.irfft(Y * self.H_conj / self.denom, self.n_fft, axis=-1)[..., : self.n]
+    if not np.any(taps):
+        raise IllConditionedError("kernel is identically zero")
+    n_fft = next_fast_len(n + len(taps) - 1)
+    H = np.fft.rfft(taps, n_fft) * dt
+    # taps near the largest double overflow |H|^2; that is refused below
+    with np.errstate(over="ignore"):
+        power = np.abs(H) ** 2
+    if not np.all(np.isfinite(power)):
+        raise IllConditionedError("kernel transform overflows: |H|^2 is not finite")
+    if lam is None:
+        lam = 1e-3 * float(np.max(power))
+    if not lam >= 0:
+        raise DomainError(f"regularization weight must be >= 0, got {lam}")
+    denom = power + lam
+    if np.any(denom == 0.0):
+        raise IllConditionedError("kernel transform vanishes and no regularization was given")
+    return n_fft, np.conj(H), denom
 
 
 def inverse_filter_iv(y: SampledSignal, params: PkParams) -> SampledSignal:

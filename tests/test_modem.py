@@ -22,7 +22,6 @@ from pklink.errors import (
 from pklink.modem import (
     PREAMBLE,
     REFERENCE_PAYLOAD,
-    BitFrame,
     ModulationConfig,
     PassivePill,
     Receiver,
@@ -30,7 +29,6 @@ from pklink.modem import (
     add_noise,
     ber_sweep,
     detect,
-    frame,
     modulate_ook,
     passive_pill_schedule,
 )
@@ -47,7 +45,7 @@ def _link_config(route, pump_rate=1.3):
 
 
 def _clean_frame_signal(pk, config, payload, dt, n, start=0.0):
-    schedule = modulate_ook(frame(payload), config, start=start)
+    schedule = modulate_ook(payload, config, start=start)
     return sample(
         lambda t: superpose(pk, config.route, schedule, t), 0.0, dt, n, SignalRole.CONCENTRATION
     )
@@ -66,22 +64,25 @@ def _window_sums(receiver, recovered: np.ndarray) -> np.ndarray:
 
 
 def test_frame_prepends_preamble():
-    f = frame((0, 1, 1))
-    assert f.bits == PREAMBLE + (0, 1, 1)
-    assert len(f) == 6
-    with pytest.raises(DomainError):
-        frame((0, 2))
+    config = ModulationConfig(600.0, 5.0, Route.INTRAVENOUS)
+    schedule = modulate_ook((0, 1, 1), config, start=60.0)
+    # the preamble's three slots, then payload slots 1 and 2
+    assert [e.time for e in schedule] == [60.0, 660.0, 1260.0, 2460.0, 3060.0]
+    with pytest.raises(DomainError, match="bits must be 0 or 1"):
+        modulate_ook((0, 2), config)
+    with pytest.raises(DomainError, match="bits must be 0 or 1"):
+        modulate_ook((0, 2), config, start=-1.0)  # the bits are checked first
 
 
 def test_modulation_schedule_places_doses_at_one_bits():
     config = _link_config(Route.EXTRAVASCULAR)
-    schedule = modulate_ook(frame(REFERENCE_PAYLOAD), config)
+    schedule = modulate_ook(REFERENCE_PAYLOAD, config)
     starts = [e.time for e in schedule]
     # ones sit at the three preamble slots plus payload slots 1, 3, 6, 7
     assert starts == [0.0, 600.0, 1200.0, 2400.0, 3600.0, 5400.0, 6000.0]
     assert all(e.mass == BENCH_DOSE for e in schedule)
     assert all(e.duration == pytest.approx(100.0) for e in schedule)
-    impulsive = modulate_ook(frame((1,)), ModulationConfig(600.0, 5.0, Route.INTRAVENOUS))
+    impulsive = modulate_ook((1,), ModulationConfig(600.0, 5.0, Route.INTRAVENOUS))
     assert [e.duration for e in impulsive] == [0.0, 0.0, 0.0, 0.0]
 
 
@@ -91,6 +92,11 @@ def test_pump_must_fit_the_symbol():
                          pump_rate=0.1)
     with pytest.raises(DomainError):
         ModulationConfig(symbol_period=0.0, dose_mass=130.0, route=Route.INTRAVENOUS)
+
+
+def test_modulation_refuses_a_route_that_is_not_a_route():
+    with pytest.raises(DomainError, match=re.escape("route must be a Route, got 'intravenous'")):
+        ModulationConfig(600.0, 130.0, "intravenous", 1.3)
 
 
 def test_passive_pill_encoding():
@@ -476,6 +482,20 @@ def test_ber_sweep_refuses_bad_noise_before_allocating(bench_pk, options, messag
     try:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             ber_sweep(bench_pk, config, n_frames=2, dt=0.1, **options)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_ber_sweep_refuses_an_off_grid_dt_before_sampling_the_pulses(bench_pk):
+    # dt = 0.7 s does not divide the 600 s symbol; the 11 slot pulses
+    # would take about 17 000 samples, 0.14 MB, each
+    config = _link_config(Route.EXTRAVASCULAR)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match="does not divide the symbol period"):
+            ber_sweep(bench_pk, config, [0.0], n_frames=2, dt=0.7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pklink.channel import DoseEvent, DoseSchedule, PkParams, Route
 from pklink.errors import UsageError
-from pklink.modem import ModulationConfig, modulate_ook, frame
+from pklink.modem import ModulationConfig, modulate_ook
 from pklink.testbed import PlatformConfig
 from pklink.scenarios import (
     SCENARIO_DIR_ENV,
@@ -39,6 +39,14 @@ def test_every_builtin_round_trips_through_yaml(tmp_path):
         scenario.save(path)
         loaded = Scenario.load(path)
         assert loaded == scenario
+
+
+def test_loading_a_path_with_a_nul_byte_is_a_usage_error():
+    with pytest.raises(UsageError) as info:
+        Scenario.load("a\0b")
+    message = str(info.value)
+    assert message.startswith("cannot read scenario file 'a\\x00b': ")
+    assert "\0" not in message
 
 
 def test_resolve_by_name_path_and_search_dir(tmp_path, monkeypatch):
@@ -141,7 +149,7 @@ def test_overrides_and_grid_size():
 
 def test_link_scenario_schedule_matches_modulator():
     scenario = resolve_scenario("link-ev")
-    expected = modulate_ook(frame(scenario.payload), scenario.modulation)
+    expected = modulate_ook(scenario.payload, scenario.modulation)
     assert scenario.schedule() == expected
     assert scenario.payload == (0, 1, 0, 1, 0, 0, 1, 1)
 
