@@ -29,15 +29,16 @@ from .errors import (
     ConfigurationError,
     DomainError,
     PkLinkError,
+    TruncationError,
     UsageError,
     exit_code_for,
     shown_path,
 )
 from .fitting import ConcentrationSeries, fit_least_squares, fit_residuals
 from .floattext import rows_text
-from .modem import DetectionReport, add_noise, detect, symbol_samples
+from .modem import DetectionReport, Receiver, add_noise, detect
 from .scenarios import Scenario, builtin_scenarios, resolve_scenario
-from .signals import SampledSignal, SignalRole, dose_rate_signal, integrate_ode, sample, split_doses
+from .signals import SampledSignal, SignalRole, dose_rate_signal, dose_steps, integrate_ode, sample, split_doses
 from .testbed import PlatformConfig, plan_flows, plan_volumes, simulate_platform
 
 ENGINES = ("analytic", "ode", "platform")
@@ -188,13 +189,22 @@ def run_simulate(scenario: Scenario) -> tuple[dict[str, SampledSignal], dict[str
 
 
 def run_link(scenario: Scenario, engine: str = "analytic", lam: float | None = None) -> DetectionReport:
-    """Transmit the scenario frame and demodulate the received signal."""
+    """Transmit the scenario frame and demodulate the received signal.
+
+    Before any engine runs, a record with fewer windows than the preamble,
+    or one that ends before a dose of the frame does, is a detection error."""
     if scenario.modulation is None or scenario.payload is None:
         raise UsageError(f"scenario {scenario.name!r} has no modulation/payload section")
+    n_steps = scenario.grid_size() - 1
     try:
-        symbol_samples(scenario.modulation, scenario.dt)
+        Receiver(scenario.pk, scenario.modulation, scenario.dt, n_steps + 1)
     except ConfigurationError as exc:
         raise UsageError(str(exc)) from None
+    schedule = scenario.schedule()
+    if any(e.mass > 0.0 and dose_steps(e, scenario.dt, n_steps) is None for e in schedule):
+        raise TruncationError(
+            f"the frame's last dose ends at {schedule.end_time} s, after the record ends at {n_steps * scenario.dt} s"
+        )
     received = run_engine(scenario, engine)
     if not scenario.noise.silent:
         received = add_noise(
@@ -302,7 +312,7 @@ def _cmd_impulse(args) -> int:
         for route in routes:
             tag = "iv" if route is Route.INTRAVENOUS else "ev"
             amount = impulse_response(pk, route, t, Normalization.AMOUNT)
-            conc = impulse_response(pk, route, t, Normalization.CONCENTRATION)
+            conc = amount / pk.V  # impulse_response's CONCENTRATION, without a second curve
             peak = impulse_response(pk, route, peak_time(pk, route), Normalization.CONCENTRATION)
             columns.append((f"{tag}_amount", amount))
             columns.append((f"{tag}_conc", conc))

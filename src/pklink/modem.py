@@ -2,10 +2,11 @@
 
 A frame is a fixed three-one preamble followed by the payload.  Each 1-bit
 releases one dose at the start of its symbol slot, either as an ideal
-impulse or as a constant-rate pump pulse.  The receiver deconvolves the
-concentration signal back to a mass-rate estimate, integrates the
-recovered mass per symbol window, locates the preamble, and thresholds
-each window against half the per-symbol dose.
+impulse or as a constant-rate pump pulse; a passive pill (pill_schedule)
+instead releases one of two levels per bit at set times.  The receiver
+deconvolves the concentration signal back to a mass-rate estimate,
+integrates the recovered mass per symbol window, locates the preamble,
+and thresholds each window against half the per-symbol dose.
 """
 
 from __future__ import annotations
@@ -115,67 +116,36 @@ def symbol_samples(config: ModulationConfig, dt: float) -> int:
     return w
 
 
-@dataclass(frozen=True)
-class PillCompartment:
-    """One dissolvable pill compartment: drug level (mg) and release time (s)."""
+def pill_schedule(bits, level_one: float, dissolution_times) -> DoseSchedule:
+    """Impulsive dose schedule of a passive pill carrying bits, most significant first.
 
-    level: float
-    dissolution_time: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.level) and self.level > 0):
-            raise DomainError(f"compartment level must be positive, got {self.level}")
-        if not (math.isfinite(self.dissolution_time) and self.dissolution_time >= 0):
-            raise DomainError(f"dissolution time must be >= 0, got {self.dissolution_time}")
-
-
-@dataclass(frozen=True)
-class PassivePill:
-    """Multi-compartment pill that releases one impulsive dose per compartment.
-
-    Compartments are ordered by strictly decreasing dissolution time, so the
-    first compartment carries the most significant bit.  Levels are binary:
-    the high level encodes 1 and half of it encodes 0.
-    """
-
-    compartments: tuple[PillCompartment, ...]
-
-    def __post_init__(self):
-        comps = tuple(self.compartments)
-        if len(comps) == 0:
-            raise DomainError("pill needs at least one compartment")
-        times = [c.dissolution_time for c in comps]
-        if any(t1 <= t2 for t1, t2 in zip(times, times[1:])):
-            raise ConfigurationError("dissolution times must be strictly decreasing")
-        levels = sorted({c.level for c in comps})
-        if len(levels) > 2:
-            raise ConfigurationError(f"at most two distinct levels allowed, got {levels}")
-        if len(levels) == 2 and abs(levels[0] - levels[1] / 2.0) > 1e-9 * levels[1]:
-            raise ConfigurationError(f"low level must be half the high level, got {levels}")
-        object.__setattr__(self, "compartments", comps)
-
-    @classmethod
-    def encode(cls, bits, level_one: float, dissolution_times) -> "PassivePill":
-        """Build a pill for the given bits, most significant bit first."""
-        checked = _check_bits(bits)
-        times = tuple(float(t) for t in dissolution_times)
-        if len(checked) != len(times):
-            raise DomainError(f"{len(checked)} bits but {len(times)} dissolution times")
-        if not (math.isfinite(level_one) and level_one > 0):
-            raise DomainError(f"level_one must be positive, got {level_one}")
-        comps = tuple(
-            PillCompartment(level=level_one if b == 1 else level_one / 2.0, dissolution_time=t)
-            for b, t in zip(checked, times)
-        )
-        return cls(compartments=comps)
-
-
-def passive_pill_schedule(pill: PassivePill) -> DoseSchedule:
-    """Impulsive dose schedule realized by a dissolving pill."""
-    events = tuple(
-        DoseEvent(time=c.dissolution_time, mass=c.level, duration=0.0) for c in pill.compartments
-    )
-    return DoseSchedule(events=events)
+    Compartment i releases level_one mg for a 1-bit and half of it for a
+    0-bit at dissolution_times[i].  The times must strictly decrease (else
+    ConfigurationError), so the first bit is released last; any other bad
+    input raises DomainError."""
+    checked = _check_bits(bits)
+    times = tuple(dissolution_times)
+    if len(checked) != len(times):
+        raise DomainError(f"{len(checked)} bits but {len(times)} dissolution times")
+    if not (math.isfinite(level_one) and level_one > 0):
+        raise DomainError(f"level_one must be positive, got {level_one}")
+    events = []
+    for bit, time in zip(checked, times):
+        level = level_one if bit == 1 else level_one / 2.0
+        if not level > 0:
+            raise DomainError(f"compartment level must be positive, got {level}")
+        try:
+            time = float(time)
+        except (TypeError, ValueError):
+            raise DomainError(f"dissolution time must be a number, got {time!r}") from None
+        if not (math.isfinite(time) and time >= 0):
+            raise DomainError(f"dissolution time must be >= 0, got {time}")
+        events.append(DoseEvent(time=time, mass=level))
+    if not events:
+        raise DomainError("pill needs at least one compartment")
+    if any(later.time >= earlier.time for earlier, later in zip(events, events[1:])):
+        raise ConfigurationError("dissolution times must be strictly decreasing")
+    return DoseSchedule(events=tuple(events))
 
 
 def _check_noise(sigmas, spike_prob: float, spike_scale: float) -> np.ndarray:

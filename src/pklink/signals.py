@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DoseSchedule, PkParams, Route, impulse_response
+from .channel import DoseEvent, DoseSchedule, PkParams, Route, impulse_response
 from .errors import ConfigurationError, DomainError, IllConditionedError
 
 # Relative tolerance used when two signals must share a sample step.
@@ -132,26 +132,40 @@ def sampled_kernel(params: PkParams, route: Route, dt: float, n: int) -> Sampled
     return SampledSignal(t0=0.0, dt=dt, samples=taps, role=SignalRole.CONCENTRATION)
 
 
+def dose_steps(event: DoseEvent, dt: float, n_steps: int) -> tuple[int, int] | None:
+    """Grid points i0 <= i1 of t = k*dt at which a dose starts and stops entering,
+    or None unless both lie in 0 ... n_steps: the rule by which the
+    integrating engines lay a dose on a record's steps, or refuse it.
+
+    An impulse enters at the point nearest its time (i1 = i0); an infusion
+    over the steps between the points nearest its start and end, at least one.
+    """
+    i0 = int(round(event.time / dt))
+    i1 = i0 if event.duration == 0.0 else max(i0 + 1, int(round(event.end / dt)))
+    return (i0, i1) if 0 <= i0 and i1 <= n_steps else None
+
+
 def dose_rate_signal(schedule: DoseSchedule, dt: float, n: int) -> SampledSignal:
     """Render a dose schedule as a zero-order-hold mass-rate signal on t = k*dt.
 
     Impulsive doses land in the single step containing their event time;
-    finite infusions are spread over their rounded step span.  Total mass
+    finite infusions are spread over their dose_steps span.  Total mass
     is conserved exactly for every event.
     """
     if n < 1:
         raise DomainError("signal length must be >= 1")
     samples = np.zeros(n)
     for event in schedule:
-        i0 = int(round(event.time / dt))
         if event.duration == 0.0:
+            i0 = int(round(event.time / dt))
             if not (0 <= i0 < n):
                 raise ConfigurationError(f"dose at t={event.time} falls outside the signal grid")
             samples[i0] += event.mass / dt
         else:
-            i1 = max(i0 + 1, int(round(event.end / dt)))
-            if i0 < 0 or i1 > n:
+            steps = dose_steps(event, dt, n)
+            if steps is None:
                 raise ConfigurationError(f"dose over [{event.time}, {event.end}] falls outside the signal grid")
+            i0, i1 = steps
             samples[i0:i1] += event.mass / ((i1 - i0) * dt)
     return SampledSignal(t0=0.0, dt=dt, samples=samples, role=SignalRole.MASS_RATE)
 
@@ -162,10 +176,10 @@ def split_doses(schedule: DoseSchedule, dt: float, n_steps: int) -> tuple[DoseSc
     jumps = np.zeros(n_steps + 1)
     for event in schedule:
         if event.duration == 0.0 and event.mass > 0.0:
-            idx = int(round(event.time / dt))
-            if not (0 <= idx <= n_steps):
+            steps = dose_steps(event, dt, n_steps)
+            if steps is None:
                 raise ConfigurationError(f"dose at t={event.time} falls outside the horizon")
-            jumps[idx] += event.mass
+            jumps[steps[0]] += event.mass
     return DoseSchedule(events=tuple(e for e in schedule if e.duration > 0.0 and e.mass > 0.0)), jumps
 
 

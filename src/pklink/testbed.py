@@ -32,10 +32,7 @@ class PlatformConfig:
     route: Route
 
     def __post_init__(self):
-        for name in ("Q_a", "Q_e", "V_a", "V_b"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be positive and finite, got {value}")
+        _require_positive(("Q_a", "Q_e", "V_a", "V_b"), (self.Q_a, self.Q_e, self.V_a, self.V_b))
         if not isinstance(self.route, Route):
             raise DomainError(f"route must be a Route, got {self.route!r}")
 

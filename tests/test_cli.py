@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pklink
-from pklink import cli, fitting
+from pklink import cli, fitting, modem
 from pklink.channel import (
     DoseEvent,
     DoseSchedule,
@@ -33,6 +33,7 @@ from pklink.channel import (
 from pklink.cli import COMMANDS, CSV_BLOCK_VALUES, build_parser, main, run_simulate
 from pklink.errors import EXIT_BROKEN_PIPE, ConfigurationError
 from pklink.scenarios import builtin_scenarios, resolve_scenario
+from pklink.testbed import mass_audit, simulate_platform
 
 from conftest import BENCH_DOSE, BENCH_K_A, BENCH_K_E, BENCH_V
 
@@ -648,6 +649,55 @@ def test_simulate_engines_agree_on_a_bolus():
     _, deviations = run_simulate(bolus)
     assert deviations["analytic_ode"] <= 1e-9
     assert deviations["analytic_platform"] <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["bench-ev", "bench-iv", "human-oral", "rat-oral", "confluent"])
+def test_simulate_engines_agree_on_a_pill_frame(name):
+    # a passive pill's frame is impulsive doses only, so the integrating
+    # engines take every dose as a jump (split_doses), which no pump frame does
+    if name == "confluent":  # k_a = k_e, with the twin derived from the rates
+        scenario = dataclasses.replace(resolve_scenario("bench-ev"), name=name, platform=None,
+                                       pk=PkParams(k_e=BENCH_K_E, V=BENCH_V, k_a=BENCH_K_E))
+    else:
+        scenario = resolve_scenario(name)
+    times = [3000.0 - 300.0 * i for i in range(8)]
+    pill = modem.pill_schedule(modem.REFERENCE_PAYLOAD, 40.0, times)
+    for dt in (1.0, 5.0, 30.0):
+        frame = dataclasses.replace(scenario, doses=pill, dt=dt, horizon=12000.0)
+        _, deviations = run_simulate(frame)
+        assert deviations["analytic_ode"] <= 1e-6, dt
+        assert deviations["analytic_platform"] <= 1e-6, dt
+        assert deviations["ode_platform"] <= 1e-9, dt
+        trace = simulate_platform(cli.scenario_platform(frame), pill, dt, 12000.0)
+        assert mass_audit(trace) <= 1e-9, dt
+
+
+def test_link_refuses_a_frame_past_the_record_on_every_engine(tmp_path, capsys):
+    # a record that ends before the frame's last dose is refused before any
+    # engine runs, by the rule with which the integrating engines lay doses
+    # on the record's steps: a truncated record (5) on every engine
+    cut = ["link", "--scenario", "link-iv", "--horizon", "3000"]
+    # with 600 s pump doses the last one ends at 6600 s, past 6595 s; with
+    # 596.25 s doses it ends at 6596.25 s, whose nearest step is the last
+    full, short = tmp_path / "full.yaml", tmp_path / "short.yaml"
+    text = resolve_scenario("link-iv").to_text()
+    full.write_text(text.replace("pump_rate: 1.3", f"pump_rate: {130 / 600!r}"))
+    short.write_text(text.replace("pump_rate: 1.3", f"pump_rate: {130 / 596.25!r}"))
+    for engine in cli.ENGINES:
+        assert main(cut + ["--engine", engine]) == 5
+        assert capsys.readouterr().err == (
+            "error: the frame's last dose ends at 6100.0 s, after the record ends at 3000.0 s\n"
+        )
+        assert main(["link", "--scenario", str(full), "--horizon", "6595", "--engine", engine]) == 5
+        assert capsys.readouterr().err == (
+            "error: the frame's last dose ends at 6600.0 s, after the record ends at 6595.0 s\n"
+        )
+        assert main(["link", "--scenario", str(short), "--horizon", "6595", "--engine", engine]) == 0
+        # the record ends inside the last dose, whose window recovers too little: one bit wrong on every engine
+        assert capsys.readouterr().out.endswith("frame_start,threshold,errors,ber\n0.0,65.0,1,0.125\n")
+    # a dose that fits the record leaves the engines' own errors as they were
+    assert main(["link", "--scenario", "link-ev", "--engine", "ode", "--dt", "600"]) == 4
+    assert "is unstable for rate" in capsys.readouterr().err
 
 
 def test_integrating_engines_refuse_an_infusion_past_the_grid():

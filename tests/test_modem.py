@@ -23,14 +23,13 @@ from pklink.modem import (
     PREAMBLE,
     REFERENCE_PAYLOAD,
     ModulationConfig,
-    PassivePill,
     Receiver,
     _noisy_rows,
     add_noise,
     ber_sweep,
     detect,
     modulate_ook,
-    passive_pill_schedule,
+    pill_schedule,
 )
 from pklink.scenarios import resolve_scenario
 from pklink.signals import SampledSignal, SignalRole, deconvolve, sample, sampled_kernel
@@ -100,30 +99,32 @@ def test_modulation_refuses_a_route_that_is_not_a_route():
 
 
 def test_passive_pill_encoding():
-    pill = PassivePill.encode((1, 0, 1, 1), level_one=40.0, dissolution_times=(900.0, 600.0, 300.0, 0.0))
-    levels = [c.level for c in pill.compartments]
-    assert levels == [40.0, 20.0, 40.0, 40.0]
-    schedule = passive_pill_schedule(pill)
+    schedule = pill_schedule((1, 0, 1, 1), level_one=40.0, dissolution_times=(900.0, 600.0, 300.0, 0.0))
+    # the first bit dissolves last
     assert [e.time for e in schedule] == [0.0, 300.0, 600.0, 900.0]
+    assert [e.mass for e in schedule] == [40.0, 40.0, 20.0, 40.0]
     assert schedule.total_mass == 140.0
     assert all(e.duration == 0.0 for e in schedule)
 
 
 def test_passive_pill_validation():
-    from pklink.modem import PillCompartment
+    def refused(error, message, bits, level_one, times):
+        with pytest.raises(error, match=re.escape(message)):
+            pill_schedule(bits, level_one, times)
 
-    with pytest.raises(ConfigurationError):
-        PassivePill(compartments=(
-            PillCompartment(level=10.0, dissolution_time=100.0),
-            PillCompartment(level=10.0, dissolution_time=200.0),
-        ))
-    with pytest.raises(ConfigurationError):
-        PassivePill(compartments=(
-            PillCompartment(level=10.0, dissolution_time=200.0),
-            PillCompartment(level=7.0, dissolution_time=100.0),
-        ))
-    with pytest.raises(DomainError):
-        PassivePill.encode((1, 0), level_one=40.0, dissolution_times=(100.0,))
+    refused(DomainError, "bits must be 0 or 1", (1, 2), 0.0, (1.0,))  # the bits are checked first
+    refused(DomainError, "2 bits but 1 dissolution times", (1, 0), 0.0, (100.0,))
+    for level in (0.0, -1.0, math.inf, math.nan):
+        refused(DomainError, f"level_one must be positive, got {level}", (1,), level, (-1.0,))
+    # half of the least subnormal underflows to 0; a compartment's level is checked before its time
+    refused(DomainError, "compartment level must be positive, got 0.0", (0, 1), 5e-324, (1.0, -1.0))
+    refused(DomainError, "dissolution time must be >= 0, got -1.0", (1, 0), 5e-324, (-1.0, 1.0))
+    assert [e.mass for e in pill_schedule((1, 1), 5e-324, (1.0, 0.0))] == [5e-324, 5e-324]
+    refused(DomainError, "dissolution time must be >= 0, got nan", (1,), 40.0, (math.nan,))
+    refused(DomainError, "dissolution time must be a number, got 'soon'", (1,), 40.0, ("soon",))
+    refused(DomainError, "pill needs at least one compartment", (), 40.0, ())
+    refused(ConfigurationError, "dissolution times must be strictly decreasing", (1, 0), 40.0, (100.0, 100.0))
+    refused(ConfigurationError, "dissolution times must be strictly decreasing", (1, 0), 40.0, (100.0, 200.0))
 
 
 def test_noise_is_reproducible_and_clipped():
