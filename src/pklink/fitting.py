@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .channel import PkParams, Route, _model
 from .errors import ConvergenceError, DataError, DomainError, shown_path
@@ -26,6 +27,10 @@ from .errors import ConvergenceError, DataError, DomainError, shown_path
 MAX_ITERATIONS = 200
 STEP_TOLERANCE = 1e-9
 MAX_REJECTED_STEPS = 20
+
+_CHUNK_BYTES = 1 << 16  # about 2000 rows of two repr'd doubles
+_BLANK = b" \t\r\x0b\x0c\x1c\x1d\x1e\x1f"  # the ASCII bytes str.strip removes, but the line feed
+_NOT_NUMBERS = (b'"', b"[", b"{", b"t", b"f", b"n")  # how every other JSON value starts
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,14 +73,17 @@ class ConcentrationSeries:
         malformed rows also name the line; undecodable bytes are located
         by their offset in the file.
 
-        The file is read once, as bytes.  np.loadtxt converts the body in
-        one pass over those bytes, where the header ends, only when it is
-        ASCII and nothing in it can read differently: no lone CR, no # but
-        at the start of a line, no byte in \\x1c-\\x1f, and at least one
-        row.  Any other body, and one np.loadtxt rejects (a line of
-        whitespace only, a malformed row), goes through the line-by-line
-        reader, which gives the same values or names the first bad line; a
-        body that is not ASCII is decoded once, for that reader.
+        The file is read once, as bytes.  A body that is ASCII, where the
+        header ends, is read in one pass over those bytes: it drops the
+        lines the line-by-line reader skips, checks that every other line
+        holds as many fields as the header, and converts the fields with
+        orjson, whose numbers are a subset of float()'s spellings and read
+        as float() reads them.  A body with a lone CR, or with a field that
+        is not a JSON number (+1, .5, nan, 1e400, a # after a value, a byte
+        in \\x1c-\\x1f, ...), or a malformed row, goes through the
+        line-by-line reader, which gives the same values or names the
+        first bad line; a body that is not ASCII is decoded once, for that
+        reader.
         """
         times, values = _read_columns(path, column)
         return cls(times=times, concentrations=values, route=route, dose=dose)
@@ -113,9 +121,9 @@ def _read_columns(path, column: str | int) -> tuple[np.ndarray, np.ndarray]:
         idx = int(column)
         if not (1 <= idx < len(names)):
             raise DataError(f"{shown_path(path)}: line 1: column index {idx} out of range")
-    table = None if text is not None else _read_table(data, end, len(names))
-    if table is not None:
-        return table[:, 0], table[:, idx]
+    columns = None if text is not None else _read_table(data, end, len(names), idx)
+    if columns is not None:
+        return columns
     lines = io.StringIO(data[end:].decode() if text is None else text, newline="").readlines()
     return _parse_lines(path, lines, len(names), idx)
 
@@ -130,35 +138,58 @@ def _decode(path, data: bytes, begin: int, end: int) -> str:
         raise DataError(f"cannot decode {shown_path(path)}: {where}") from exc
 
 
-def _read_table(data: bytes, begin: int, width: int) -> np.ndarray | None:
-    """The rows of the ASCII CSV body data[begin:] as np.loadtxt reads
-    them, or None when the body holds anything on which that could differ
-    from _parse_lines: a lone CR, a # that does not start a line, a byte
-    in \\x1c-\\x1f, or no row (a line that is neither empty nor starts
-    with #).  Both skip empty lines and lines that start with #; a line
-    of whitespace only, which _parse_lines skips, np.loadtxt refuses as a
-    row of one field, so a table of width columns holds every row."""
+def _read_table(data: bytes, begin: int, width: int, idx: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The t column and column idx of the ASCII CSV body data[begin:], read
+    in one pass, or None when the body has a lone CR or a line that
+    _rows refuses even once the lines _parse_lines skips are dropped.
+    The body is converted _CHUNK_BYTES at a time, cut at line ends, so
+    that only a chunk's Python floats are alive at once."""
     cr = data.find(b"\r", begin - 1)
     if cr >= 0 and data.count(b"\r", cr) != data.count(b"\r\n", cr):
         return None  # a lone CR, in the body or ending the header
-    # from here on data[begin - 1] is a line break, unless the body is empty
-    mark = data.find(b"#", begin)
-    if mark >= 0 and data.count(b"#", mark) != data.count(b"\n#", mark - 1):
-        return None  # a # inside a line
-    if any(data.find(sep, begin) >= 0 for sep in b"\x1c\x1d\x1e\x1f"):
-        return None  # whitespace to str.strip, around a number to np.loadtxt, but not to float()
+    size = data.count(b"\n", begin) + 1
+    times, values = np.empty(size), np.empty(size)
+    rows = 0
     at = begin
-    while at < len(data) and data[at] in b"\r\n#":  # an empty line (CR LF, with no lone CR) or a comment
-        at = data.find(b"\n", at) + 1 or len(data)
-    if at == len(data):
-        return None  # no row
-    stream = io.BytesIO(data)  # shares data's buffer until written to, which it is not
-    stream.seek(begin)
+    while at < len(data):
+        stop = data.find(b"\n", at + _CHUNK_BYTES) + 1 or len(data)
+        chunk = data[at:stop]
+        table = _rows(chunk.removesuffix(b"\n"), width)
+        if table is None:  # perhaps a line to skip: as _parse_lines, drop blank and comment lines
+            kept = [line for line in chunk.split(b"\n") if (text := line.strip(_BLANK)) and text[0] != ord("#")]
+            table = _rows(b"\n".join(kept), width) if kept else np.empty((0, width))
+            if table is None:
+                return None
+        times[rows : rows + len(table)] = table[:, 0]
+        values[rows : rows + len(table)] = table[:, idx]
+        rows += len(table)
+        at = stop
+    return times[:rows], values[:rows]
+
+
+def _rows(body: bytes, width: int) -> np.ndarray | None:
+    """The lines of body, without a final LF, as a (lines, width) array of
+    float() of each field, or None unless every line holds width
+    comma-separated JSON numbers.  Each such field is one of float()'s
+    spellings, and orjson reads it as float() does: correctly rounded,
+    integers too, but for a bare -0, which orjson reads as the int 0."""
+    if any(opener in body for opener in _NOT_NUMBERS):
+        return None  # a JSON value that is not a number, which orjson would read
+    codes = np.frombuffer(body, np.uint8)
+    separators = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
+    lines = body.count(b"\n") + 1
+    if separators.size != lines * width - 1 or np.any(codes[separators[width - 1 :: width]] != ord("\n")):
+        return None  # a line with more or fewer fields
     try:
-        table = np.loadtxt(stream, delimiter=",", comments="#", ndmin=2, encoding="utf-8")
-    except ValueError:
+        numbers = orjson.loads(b"[" + body.replace(b"\n", b",") + b"]")
+    except orjson.JSONDecodeError:
         return None
-    return table if table.shape[1] == width else None
+    table = np.fromiter(numbers, float, len(numbers))
+    ends = np.append(separators, len(body))
+    for k in np.flatnonzero(table == 0.0):  # the field of each zero, for a bare -0
+        if body[ends[k - 1] + 1 if k else 0 : ends[k]].strip() == b"-0":
+            table[k] = -0.0
+    return table.reshape(lines, width)
 
 
 def _parse_lines(path, lines: list[str], width: int, idx: int) -> tuple[np.ndarray, np.ndarray]:

@@ -60,6 +60,23 @@ def test_cli_import_loads_no_scipy():
     assert run.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_only_the_declared_dependencies():
+    # the distributions owning the top-level modules a fresh import of
+    # pklink.cli adds are those pyproject.toml declares, and pklink
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    declared = {re.match(r"[\w.-]+", requirement).group() for requirement in pyproject["project"]["dependencies"]}
+    code = (
+        "import sys; before = set(sys.modules); import pklink.cli; added = set(sys.modules) - before\n"
+        "from importlib.metadata import packages_distributions; owners = packages_distributions()\n"
+        "print(*{d for m in added for d in owners.get(m.partition('.')[0], [])})"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True,
+                         check=True)
+    loaded = {re.sub(r"[-_.]+", "-", name).lower() for name in run.stdout.split()} - {"pklink"}
+    assert loaded == {re.sub(r"[-_.]+", "-", name).lower() for name in declared} == {"numpy", "pyyaml", "orjson"}
+
+
 def test_scenarios_listing(capsys):
     assert main(["scenarios"]) == 0
     out = capsys.readouterr().out

@@ -1,7 +1,10 @@
 """Parameter estimation: curve stripping, damped least squares, diagnostics."""
 
+import decimal
 import math
+import random
 import re
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -268,14 +271,13 @@ def test_clean_files_take_the_one_pass_reader(tmp_path, monkeypatch):
         "byte-order mark": ("t,a,b\n" + body).encode("utf-8-sig"),
         "comments": ("t,a,b\n# morning samples\n" + body + "# max_rel_dev analytic_ode=1e-05\n").encode(),
         "empty lines": ("t,a,b\n\n" + _with_blank_lines(body, ["", "\r"]) + "\n").encode(),
-        # lines of whitespace only, as str.strip sees it, which np.loadtxt
-        # reads as one-field rows, and a body that is not ASCII: the line
-        # loop reads these
+        # lines of whitespace only, as str.strip sees it, and a body that
+        # is not ASCII, which the line loop reads
         "blank lines": ("t,a,b\n\n" + _with_blank_lines(body, ascii_blanks) + "\n \n").encode(),
         "blank lines, comment": ("t,a,b\n" + _with_blank_lines(body, ascii_blanks) + "# max_rel_dev 1e-05\n").encode(),
         "non-ASCII blank lines": ("t,a,b\n" + _with_blank_lines(body, ["\u3000", "\xa0 \u2028"])).encode(),
     }
-    line_loop = {"blank lines", "blank lines, comment", "non-ASCII blank lines"}
+    line_loop = {"non-ASCII blank lines"}
     for name, data in files.items():
         with monkeypatch.context() as patch:
             if name not in line_loop:
@@ -285,6 +287,128 @@ def test_clean_files_take_the_one_pass_reader(tmp_path, monkeypatch):
             series = ConcentrationSeries.from_csv(path, Route.EXTRAVASCULAR, BENCH_DOSE, column="a")
         assert series.times.tobytes() == t.tobytes(), name
         assert series.concentrations.tobytes() == c.tobytes(), name
+
+
+def test_a_bare_minus_zero_keeps_its_sign(tmp_path, monkeypatch):
+    # orjson reads the JSON number -0 as the int 0; -0.0 and -0E0 it reads as -0.0
+    monkeypatch.setattr(fitting, "_parse_lines", None)  # no line-by-line fallback
+    path = tmp_path / "curve.csv"
+    path.write_bytes(b"t,c\n-0,-0\n1,-0.0\n2, -0\t\n3,-0E0\n4,1e-0\n5,0\n6,-0")
+    series = ConcentrationSeries.from_csv(path, Route.INTRAVENOUS, 10.0)
+    assert series.times.tobytes() == np.array([-0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).tobytes()
+    assert series.concentrations.tobytes() == np.array([-0.0, -0.0, -0.0, -0.0, 1.0, 0.0, -0.0]).tobytes()
+
+
+def test_integer_and_padded_spellings_read_as_float_reads_them(tmp_path, monkeypatch):
+    # orjson returns integers as int up to 2**64 - 1 and as float past that
+    fields = [
+        "0", "7", "-12", "9007199254740993", "9007199254740995", "18446744073709551615",
+        "18446744073709551616", "18446744073709553664", "18446744073709553665", "-9223372036854775809",
+        "123456789012345678901", "-98765432109876543210987654321", "100000000000000000000000000001",
+        "1E5", "-2.5E-3", "1e+2", " 3.25\t", "\t42 ", "  1e2  ",
+    ]
+    monkeypatch.setattr(fitting, "_parse_lines", None)  # no line-by-line fallback
+    path = tmp_path / "curve.csv"
+    path.write_text("t,c\n" + "".join(f"{i}, {field}\r\n" for i, field in enumerate(fields)))
+    series = ConcentrationSeries.from_csv(path, Route.INTRAVENOUS, 10.0)
+    assert series.times.tobytes() == np.arange(float(len(fields))).tobytes()
+    assert series.concentrations.tobytes() == np.array([float(field) for field in fields]).tobytes()
+
+
+# float() reads each of these or refuses it.  orjson refuses all but the
+# last four, JSON values that are not numbers.  The one pass leaves the
+# body of each to the line loop.
+LINE_LOOP_SPELLINGS = {
+    "plus": "+1", "trailing point": "1.", "leading point": ".5", "leading zeros": "007", "digit separator": "1_0",
+    "nan": "nan", "inf": "inf", "out of range": "1e400", "# after a value": "2.0#x",
+    **{f"\\x{code:x}": f"{chr(code)}2.0" for code in range(0x1C, 0x20)},
+    "true": "true", "null": "null", "string": '"2.5"', "array": "[2.5]",
+}
+
+
+@pytest.mark.parametrize("name", [*LINE_LOOP_SPELLINGS, "lone CR"])
+@pytest.mark.parametrize("idx", [1, 2])
+def test_spellings_orjson_does_not_read_as_float_go_to_the_line_loop(tmp_path, monkeypatch, name, idx):
+    row = f"2.0,{LINE_LOOP_SPELLINGS[name]},3.5" if name != "lone CR" else "2.0,2.5,3.5\r3.0,3.5,3.5"
+    path = tmp_path / "curve.csv"
+    path.write_text(f"t,c,d\n1.0,2.0,2.5\n{row}\n5.0,4.0,4.5\n6.0,5.0,5.5\n", newline="")
+    parsed = []
+    parse_lines = fitting._parse_lines
+    monkeypatch.setattr(fitting, "_parse_lines", lambda *args: parsed.append(1) or parse_lines(*args))
+    expected = _reference_rows(path, idx)
+    if isinstance(expected, int):
+        with pytest.raises(DataError, match=f": line {expected}: "):
+            ConcentrationSeries.from_csv(path, Route.INTRAVENOUS, 10.0, column=idx)
+    else:
+        try:
+            series = ConcentrationSeries.from_csv(path, Route.INTRAVENOUS, 10.0, column=idx)
+        except DataError as exc:  # nan and inf parse, but fail the series checks
+            with pytest.raises(DataError, match=re.escape(str(exc))):
+                ConcentrationSeries(*expected, Route.INTRAVENOUS, 10.0)
+        else:
+            assert series.times.tobytes() == expected[0].tobytes()
+            assert series.concentrations.tobytes() == expected[1].tobytes()
+    assert parsed == [1]
+
+
+def _hard_numerals(n: int, seed: int) -> list[str]:
+    """n decimal numerals in equal parts of six kinds, each within the
+    float range: doubles of random bits (subnormals too) as repr and with
+    1-25 significant digits; decimals 1e-17 to 1e-40 (relative) off the
+    midpoint between two adjacent doubles; 1-30 digit mantissas with
+    exponents -340 to 320; fixed-point decimals; integers of 1-30 digits
+    (-0 among them); and integers within one of a halfway point between
+    two doubles above 2**53."""
+    rng = random.Random(seed)
+    out: list[str] = []
+
+    def digits(low: int, high: int) -> str:
+        return "".join(rng.choices("0123456789", k=rng.randint(low, high)))
+
+    def sign() -> str:
+        return "-" if rng.random() < 0.3 else ""
+
+    def finite_double() -> float:
+        while True:
+            x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+            if math.isfinite(x):
+                return x
+
+    context = decimal.Context(prec=60)
+    kind = 0
+    while len(out) < n:
+        kind = (kind + 1) % 6
+        if kind == 0:
+            x = finite_double()
+            numeral = repr(x) if rng.random() < 0.5 else f"{x:.{rng.randint(0, 24)}e}"  # 2e+308 is out of range
+        elif kind == 1:
+            x = abs(finite_double())
+            middle = context.divide(context.add(decimal.Decimal(x), decimal.Decimal(math.nextafter(x, math.inf))), 2)
+            offset = context.multiply(middle, decimal.Decimal(f"1e-{rng.randint(17, 40)}"))
+            numeral = sign() + format(context.add(middle, offset if rng.random() < 0.5 else -offset), ".45e")
+        elif kind == 2:
+            numeral = f"{sign()}{digits(1, 30).lstrip('0') or '0'}e{rng.randint(-340, 320)}"
+        elif kind == 3:
+            numeral = f"{sign()}{digits(1, 19).lstrip('0') or '0'}.{digits(1, 19)}"
+        elif kind == 4:
+            numeral = f"{sign()}{digits(1, 30).lstrip('0') or '0'}"
+        else:
+            e = rng.randint(54, 100)
+            halfway = ((rng.getrandbits(52) | 1 << 52) << (e - 53)) + (1 << (e - 54))
+            numeral = f"{sign()}{halfway + rng.choice([-1, 0, 1])}"
+        if math.isfinite(float(numeral)):
+            out.append(numeral)
+    return out
+
+
+def test_one_pass_reads_hard_numerals_as_float_reads_them(tmp_path, monkeypatch):
+    numerals = _hard_numerals(100_002, seed=31)
+    monkeypatch.setattr(fitting, "_parse_lines", None)  # no line-by-line fallback
+    path = tmp_path / "curve.csv"
+    path.write_text("t,c\n" + "".join(f"{i},{numeral}\n" for i, numeral in enumerate(numerals)))
+    series = ConcentrationSeries.from_csv(path, Route.INTRAVENOUS, 10.0)
+    assert series.concentrations.tobytes() == np.array([float(numeral) for numeral in numerals]).tobytes()
+    assert "-0" in numerals
 
 
 @settings(max_examples=200, deadline=None)
