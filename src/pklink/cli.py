@@ -374,11 +374,11 @@ def _cmd_fit(args) -> int:
         fh.write(f"F: {_fmt(result.params.F)}\n")
         fh.write(f"rss: {_fmt(result.rss)}\n")
         fh.write(f"iterations: {result.iterations}\n")
-        fh.write(f"flip_flop_ambiguous: {str(result.flip_flop_ambiguous).lower()}\n")
-        if result.k_fast is not None:
-            fh.write(f"k_fast: {_fmt(result.k_fast)}\n")
-            fh.write(f"k_slow: {_fmt(result.k_slow)}\n")
+        fh.write(f"flip_flop_ambiguous: {str(result.alternate is not None).lower()}\n")
         if result.alternate is not None:
+            # the primary reading takes the faster rate as k_a
+            fh.write(f"k_fast: {_fmt(result.params.k_a)}\n")
+            fh.write(f"k_slow: {_fmt(result.params.k_e)}\n")
             fh.write(f"alternate_k_a: {_fmt(result.alternate.k_a)}\n")
             fh.write(f"alternate_k_e: {_fmt(result.alternate.k_e)}\n")
     return 0

@@ -6,9 +6,9 @@ residuals for the fast phase) and a damped Gauss-Newton least-squares fit
 with an analytic Jacobian.  Both are honest about identifiability: a
 two-exponential extravascular curve determines only the pair of rates and
 the lumped amplitude F*dose/V, and either rate can be the absorption rate
-(flip-flop kinetics), so results carry the fast/slow pair, a primary
-assignment ranked by the absorption-faster prior, and the swapped
-alternative.
+(flip-flop kinetics), so results carry both readings: a primary one
+ranked by the absorption-faster prior, whose k_a is the faster rate, and
+the swapped alternative.
 """
 
 from __future__ import annotations
@@ -219,9 +219,10 @@ class FitResult:
 
     lumped_amplitude is the directly identifiable group: dose/V for
     intravenous data and F*dose/V for extravascular data.  params is the
-    primary reading (absorption assumed faster than elimination); the
-    swapped flip-flop reading, when it exists, is in alternate and the
-    ambiguity is flagged.  The distribution volume V is not separately
+    primary reading (absorption assumed faster than elimination), and
+    alternate the swapped flip-flop reading of extravascular data, which
+    fits them equally well; intravenous data have one rate and no
+    alternate.  The distribution volume V is not separately
     identifiable, so params reconstructs it from the lumped amplitude with
     F = 1 unless a volume is supplied to the fit, in which case F is
     derived (and capped at 1; the lumped amplitude stays authoritative).
@@ -232,9 +233,6 @@ class FitResult:
     rss: float
     iterations: int
     method: str
-    flip_flop_ambiguous: bool = False
-    k_fast: float | None = None
-    k_slow: float | None = None
     alternate: PkParams | None = None
 
 
@@ -290,28 +288,19 @@ def _build_result(
             F=min(1.0, amp * volume / data.dose),
         )
 
-    if data.route is Route.INTRAVENOUS:
-        return FitResult(
-            params=reconstruct(k_a, k_e, amplitude),
-            lumped_amplitude=amplitude,
-            rss=rss,
-            iterations=iterations,
-            method=method,
-        )
-    # rank by the absorption-faster prior but keep both readings
-    k_fast, k_slow = (k_a, k_e) if k_a >= k_e else (k_e, k_a)
-    amp_primary = amplitude if k_a >= k_e else amplitude * k_a / k_e
-    amp_alternate = amp_primary * k_fast / k_slow
+    alternate = None
+    if data.route is Route.EXTRAVASCULAR:
+        # rank by the absorption-faster prior but keep both readings
+        if k_a < k_e:
+            k_a, k_e, amplitude = k_e, k_a, amplitude * k_a / k_e
+        alternate = reconstruct(k_e, k_a, amplitude * k_a / k_e)
     return FitResult(
-        params=reconstruct(k_fast, k_slow, amp_primary),
-        lumped_amplitude=amp_primary,
+        params=reconstruct(k_a, k_e, amplitude),
+        lumped_amplitude=amplitude,
         rss=rss,
         iterations=iterations,
         method=method,
-        flip_flop_ambiguous=True,
-        k_fast=k_fast,
-        k_slow=k_slow,
-        alternate=reconstruct(k_slow, k_fast, amp_alternate),
+        alternate=alternate,
     )
 
 

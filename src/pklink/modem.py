@@ -260,22 +260,17 @@ class DetectionReport:
         fh.write(f"{float(self.frame_start)!r},{float(self.threshold)!r},{errors},{ber_txt}\n")
 
 
-def _check_records(records: np.ndarray) -> None:
-    if records.ndim != 2 or not np.all(np.isfinite(records)):
-        raise DomainError("records must be a 2-D stack of finite samples")
-
-
 class Receiver:
     """The frame geometry and decision threshold for records of n samples at step dt.
 
     Built once per (params, route, dt, n), it holds the symbol window in
     samples, the number of whole windows in a record and the threshold
-    THRESHOLD_FRACTION * dose_mass, and works on a 2-D stack of records
-    (rows x samples).  decide sums each record's recovered mass per window
-    through the window-sum map, built on first use; frames reads the frame
-    out of such window sums.  Windows are aligned to the sample grid, so dt
-    must divide the symbol period, and a record must hold a window for
-    each preamble bit.
+    THRESHOLD_FRACTION * dose_mass.  A 2-D stack of records (rows x
+    samples) times the window-sum map, built on first use, is each
+    record's recovered mass per window, up to rounding; frames reads the
+    frame out of such window sums.  Windows are aligned to the sample
+    grid, so dt must divide the symbol period, and a record must hold a
+    window for each preamble bit.
     """
 
     def __init__(self, params: PkParams, config: ModulationConfig, dt: float, n: int):
@@ -314,12 +309,6 @@ class Receiver:
         window_map = runs[:, ::-1].T.copy()
         window_map *= self.dt
         return window_map
-
-    def decide(self, records: np.ndarray) -> np.ndarray:
-        """Per-window recovered mass of each row: the window sums of
-        deconvolve's waveform, up to rounding."""
-        _check_records(records)
-        return records @ self.window_map
 
     def frames(self, stats: np.ndarray, payload_length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Frame start, payload decisions and whether the frame is held, per row of window sums.
@@ -472,7 +461,8 @@ def ber_sweep(
         for bits, pulse in zip(payloads.astype(bool).T, pulses[len(PREAMBLE) :]):
             np.add(clean, pulse, out=clean, where=bits[:, np.newaxis])
         rows = _noisy_rows(clean, sigmas, spike_prob, spike_scale, noise)
-        _, decisions, held = receiver.frames(receiver.decide(rows.reshape(-1, n)), payload_length)
+        # _noisy_rows refuses rows that are not finite
+        _, decisions, held = receiver.frames(rows.reshape(-1, n) @ receiver.window_map, payload_length)
         wrong = np.count_nonzero(decisions != np.tile(payloads, (k, 1)), axis=1)
         return np.where(held, wrong, payload_length).reshape(k, len(payloads)).sum(axis=1)
 

@@ -134,8 +134,8 @@ def sampled_kernel(params: PkParams, route: Route, dt: float, n: int) -> Sampled
 
 def dose_steps(event: DoseEvent, dt: float, n_steps: int) -> tuple[int, int] | None:
     """Grid points i0 <= i1 of t = k*dt at which a dose starts and stops entering,
-    or None unless both lie in 0 ... n_steps: the rule by which the
-    integrating engines lay a dose on a record's steps, or refuse it.
+    or None unless both lie in 0 ... n_steps: the one rule by which a dose
+    is laid on a grid's steps, or refused.
 
     An impulse enters at the point nearest its time (i1 = i0); an infusion
     over the steps between the points nearest its start and end, at least one.
@@ -148,25 +148,24 @@ def dose_steps(event: DoseEvent, dt: float, n_steps: int) -> tuple[int, int] | N
 def dose_rate_signal(schedule: DoseSchedule, dt: float, n: int) -> SampledSignal:
     """Render a dose schedule as a zero-order-hold mass-rate signal on t = k*dt.
 
-    Impulsive doses land in the single step containing their event time;
-    finite infusions are spread over their dose_steps span.  Total mass
-    is conserved exactly for every event.
+    Each dose is laid by dose_steps on the signal's n steps: an impulse
+    fills the one step at its point, which must be one of the n sample
+    points, and an infusion is spread over its span, which may end at
+    point n.  Total mass is conserved exactly for every event.
     """
     if n < 1:
         raise DomainError("signal length must be >= 1")
     samples = np.zeros(n)
     for event in schedule:
-        if event.duration == 0.0:
-            i0 = int(round(event.time / dt))
-            if not (0 <= i0 < n):
-                raise ConfigurationError(f"dose at t={event.time} falls outside the signal grid")
-            samples[i0] += event.mass / dt
-        else:
-            steps = dose_steps(event, dt, n)
-            if steps is None:
-                raise ConfigurationError(f"dose over [{event.time}, {event.end}] falls outside the signal grid")
-            i0, i1 = steps
-            samples[i0:i1] += event.mass / ((i1 - i0) * dt)
+        impulse = event.duration == 0.0
+        steps = dose_steps(event, dt, n - 1 if impulse else n)
+        if steps is None:
+            where = f"at t={event.time}" if impulse else f"over [{event.time}, {event.end}]"
+            raise ConfigurationError(f"dose {where} falls outside the signal grid")
+        i0, i1 = steps
+        if impulse:
+            i1 += 1
+        samples[i0:i1] += event.mass / ((i1 - i0) * dt)
     return SampledSignal(t0=0.0, dt=dt, samples=samples, role=SignalRole.MASS_RATE)
 
 
@@ -410,9 +409,10 @@ def integrate_ode(
 ) -> SampledSignal:
     """Integrate the compartment ODEs with classical fixed-step RK4.
 
-    The input is held constant over each step (zero-order hold) and is zero
-    beyond its sampled extent; jumps (from split_doses, one per grid point up
-    to the horizon) adds impulsive doses.  State starts at zero at u.t0 and the
+    The input holds one rate per step up to the horizon, held constant over
+    its step (zero-order hold); a last sample at the horizon itself is not
+    read.  jumps (from split_doses, one per grid point up to the horizon)
+    adds impulsive doses.  State starts at zero at u.t0 and the
     concentration of the central compartment is returned on the input grid
     up to u.t0 + horizon.  The integration is rk4_linear, the core shared
     with the hydraulic twin, so both engines have one stability bound:
@@ -427,6 +427,8 @@ def integrate_ode(
         raise ConfigurationError(f"horizon {horizon} shorter than one step {dt}")
     if n_steps < len(u) - 1:
         raise ConfigurationError("horizon must cover the input signal duration")
+    if len(u) < n_steps:
+        raise ConfigurationError(f"input holds {len(u)} rates for the {n_steps} steps to the horizon")
 
     ke = params.k_e
     if route is Route.INTRAVENOUS:
@@ -434,10 +436,7 @@ def integrate_ode(
     else:
         ka = params.require_k_a()
         M, b = [[-ka, 0.0], [ka, -ke]], [params.F, 0.0]
-    rates = u.samples[:n_steps]  # rk4_linear only reads its input
-    if len(rates) < n_steps:
-        rates = np.pad(rates, (0, n_steps - len(rates)))
-    central = rk4_linear(M, b, dt, rates, jumps)[-1]
+    central = rk4_linear(M, b, dt, u.samples[:n_steps], jumps)[-1]  # rk4_linear only reads its input
     central /= params.V
     return SampledSignal(t0=u.t0, dt=dt, samples=central, role=SignalRole.CONCENTRATION)
 

@@ -176,6 +176,55 @@ def test_fit_recovers_parameters_from_csv(tmp_path, capsys):
     assert float(report["alternate_k_a"]) == pytest.approx(BENCH_K_E, rel=1e-8)
 
 
+def _noisy_bench_curve_csv(route: Route) -> str:
+    """16 samples of the bench curve on route with 2% multiplicative noise, as a fit CSV."""
+    pk = PkParams(k_e=BENCH_K_E, V=BENCH_V, k_a=BENCH_K_A)
+    t = np.linspace(60.0, 4800.0, 16)
+    c = (ev_concentration if route is Route.EXTRAVASCULAR else iv_concentration)(pk, BENCH_DOSE, t)
+    c = c * (1.0 + 0.02 * np.random.default_rng(3).standard_normal(t.size))
+    return "t,conc\n" + "".join(f"{float(ti)!r},{float(ci)!r}\n" for ti, ci in zip(t, c))
+
+
+GOLDEN_FIT_REPORTS = {
+    ("extravascular", "least-squares", None): (
+        "method: least_squares\nk_a: 0.0031208884189626645\nk_e: 0.0015356388592956914\n"
+        "lumped_amplitude: 0.2003510424625773\nV: 648.8611109886396\nF: 1.0\n"
+        "rss: 1.971670785369647e-05\niterations: 7\nflip_flop_ambiguous: true\n"
+        "k_fast: 0.0031208884189626645\nk_slow: 0.0015356388592956914\n"
+        "alternate_k_a: 0.0015356388592956914\nalternate_k_e: 0.0031208884189626645\n"
+    ),
+    ("extravascular", "least-squares", "500"): (
+        "method: least_squares\nk_a: 0.0031208884189626645\nk_e: 0.0015356388592956914\n"
+        "lumped_amplitude: 0.2003510424625773\nV: 500.0\nF: 0.7705809325483741\n"
+        "rss: 1.971670785369647e-05\niterations: 7\nflip_flop_ambiguous: true\n"
+        "k_fast: 0.0031208884189626645\nk_slow: 0.0015356388592956914\n"
+        "alternate_k_a: 0.0015356388592956914\nalternate_k_e: 0.0031208884189626645\n"
+    ),
+    ("intravenous", "residuals", None): (
+        "method: residuals\nk_e: 0.001510644020949503\nlumped_amplitude: 0.19963413860180984\n"
+        "V: 651.1912286670465\nF: 1.0\nrss: 9.556105907858342e-05\niterations: 1\n"
+        "flip_flop_ambiguous: false\n"
+    ),
+    ("intravenous", "residuals", "500"): (
+        "method: residuals\nk_e: 0.001510644020949503\nlumped_amplitude: 0.19963413860180984\n"
+        "V: 500.0\nF: 0.7678236100069609\nrss: 9.556105907858342e-05\niterations: 1\n"
+        "flip_flop_ambiguous: false\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("route, method, volume", list(GOLDEN_FIT_REPORTS))
+def test_fit_report_matches_the_recorded_bytes(tmp_path, capsys, route, method, volume):
+    # pins every line, the flip-flop flag and the fast/slow pair included,
+    # which the report reads off the primary and alternate readings
+    path = tmp_path / "curve.csv"
+    path.write_text(_noisy_bench_curve_csv(Route(route)))
+    volume_flag = [] if volume is None else ["--volume", volume]
+    argv = ["fit", "--csv", str(path), "--route", route, "--dose", str(BENCH_DOSE), "--method", method]
+    assert main(argv + volume_flag) == 0
+    assert capsys.readouterr().out == GOLDEN_FIT_REPORTS[route, method, volume]
+
+
 def test_fit_reads_a_csv_with_a_byte_order_mark(tmp_path, capsys):
     # Excel's "CSV UTF-8" starts the file with a byte-order mark
     plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"

@@ -39,6 +39,7 @@ from pklink.signals import (
     sample,
     sampled_kernel,
     spectrum,
+    split_doses,
     tikhonov_filter,
 )
 
@@ -448,6 +449,18 @@ def test_ode_guards(bench_pk):
         integrate_ode(bench_pk, Route.EXTRAVASCULAR, coarse, 900.0)
 
 
+def test_ode_takes_one_rate_per_step(bench_pk):
+    # the input holds a rate for each step to the horizon, its last sample
+    # at the horizon optional; a shorter input is refused, not padded
+    u = SampledSignal(0.0, 1.0, np.ones(100), SignalRole.MASS_RATE)
+    with_last = integrate_ode(bench_pk, Route.EXTRAVASCULAR, u, 99.0)
+    without_last = integrate_ode(bench_pk, Route.EXTRAVASCULAR, u, 100.0)
+    assert len(with_last) == 100 and len(without_last) == 101
+    assert np.array_equal(without_last.samples[:100], with_last.samples)
+    with pytest.raises(ConfigurationError, match="input holds 100 rates for the 101 steps to the horizon"):
+        integrate_ode(bench_pk, Route.EXTRAVASCULAR, u, 101.0)
+
+
 def test_dose_rate_signal_conserves_mass():
     schedule = DoseSchedule(
         events=(
@@ -460,6 +473,37 @@ def test_dose_rate_signal_conserves_mass():
     assert np.sum(u.samples) * u.dt == pytest.approx(42.0, rel=1e-13)
     with pytest.raises(ConfigurationError):
         dose_rate_signal(DoseSchedule(events=(DoseEvent(time=500.0, mass=1.0),)), 2.0, 60)
+
+
+def test_every_dose_is_placed_by_one_rule():
+    # on an n-sample grid an impulse lies on one of the n points, while an
+    # infusion's span may end on point n; split_doses, on the same n points
+    # (n - 1 steps), takes the impulses as jumps there and passes the
+    # infusions on to dose_rate_signal
+    dt, n = 2.0, 60
+    last = DoseSchedule(events=(DoseEvent(time=118.4, mass=3.0),))  # nearest point n - 1
+    past = DoseSchedule(events=(DoseEvent(time=119.5, mass=3.0),))  # nearest point n
+    pump = DoseSchedule(events=(DoseEvent(time=100.0, mass=5.0, duration=20.0),))  # ends on point n
+
+    rate = dose_rate_signal(last, dt, n).samples
+    assert np.flatnonzero(rate).tolist() == [n - 1]
+    assert rate[n - 1] * dt == 3.0
+    infusions, jumps = split_doses(last, dt, n - 1)
+    assert infusions.events == () and np.flatnonzero(jumps).tolist() == [n - 1] and jumps[n - 1] == 3.0
+
+    with pytest.raises(ConfigurationError, match=r"^dose at t=119\.5 falls outside the signal grid$"):
+        dose_rate_signal(past, dt, n)
+    with pytest.raises(ConfigurationError, match=r"^dose at t=119\.5 falls outside the horizon$"):
+        split_doses(past, dt, n - 1)
+
+    rate = dose_rate_signal(pump, dt, n).samples
+    assert np.flatnonzero(rate).tolist() == list(range(50, n))
+    assert np.sum(rate) * dt == pytest.approx(5.0, rel=1e-15)
+    infusions, jumps = split_doses(pump, dt, n - 1)
+    assert infusions.events == pump.events and not np.any(jumps)
+    over = DoseSchedule(events=(DoseEvent(time=100.0, mass=5.0, duration=21.5),))  # ends nearest point n + 1
+    with pytest.raises(ConfigurationError, match=r"^dose over \[100\.0, 121\.5\] falls outside the signal grid$"):
+        dose_rate_signal(over, dt, n)
 
 
 def test_spectrum_matches_rational_response(bench_pk):
