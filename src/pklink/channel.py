@@ -322,16 +322,16 @@ def superpose(params: PkParams, route: Route, schedule: DoseSchedule, t):
     response.  The responses are elementwise in the lag, so the output is
     the same bits as evaluating every edge afresh.  Edges on the grid
     t = k*dt share their lags whenever the arithmetic is exact (integer dt
-    and dose times); other edges evaluate their own.  t may be a scalar or
-    an array in any order.
+    and dose times); other edges evaluate their own.  t is a 1-D array of
+    finite, non-negative, non-decreasing times, such as the grid that
+    signals.sample passes; anything else is a DomainError.
     """
-    arr, scalar = _as_times(t)
-    _check_nonnegative_times(arr)
-    flat = np.atleast_1d(arr).ravel()
-    order = None
+    flat = _as_times(t)[0]
+    if flat.ndim != 1:
+        raise DomainError(f"times must be a 1-D array, got shape {flat.shape}")
     if np.any(flat[1:] < flat[:-1]):
-        order = np.argsort(flat, kind="stable")
-        flat = flat[order]
+        raise DomainError("times must be in non-decreasing order")
+    _check_nonnegative_times(flat)
     out = np.zeros_like(flat)
     # (response function, bits of the first lag) -> (lag bits, response)
     grids: dict = {}
@@ -366,10 +366,4 @@ def superpose(params: PkParams, route: Route, schedule: DoseSchedule, t):
             off, s_off = lagged(_step_response_raw, event.end)
             out[on:off] += rate * s_on[: off - on]
             out[off:] += rate * (s_on[off - on :] - s_off)
-    if scalar:
-        return float(out[0])
-    if order is not None:
-        unsorted = np.empty_like(out)
-        unsorted[order] = out
-        out = unsorted
-    return out.reshape(arr.shape)
+    return out

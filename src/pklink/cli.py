@@ -39,7 +39,7 @@ from .floattext import rows_text
 from .modem import DetectionReport, Receiver, add_noise, detect
 from .scenarios import Scenario, builtin_scenarios, resolve_scenario
 from .signals import SampledSignal, SignalRole, dose_rate_signal, dose_steps, integrate_ode, sample, split_doses
-from .testbed import PlatformConfig, plan_flows, plan_volumes, simulate_platform
+from .testbed import PlatformConfig, _require_positive, plan_flows, plan_volumes, simulate_platform
 
 ENGINES = ("analytic", "ode", "platform")
 
@@ -246,9 +246,7 @@ def plan_report(
     nominal pair violates Q = k*V, and says the pair looks swapped when
     the swapped pair agrees within PLAN_WARN_RTOL.
     """
-    for name, value in zip(("V_a", "V_b"), nominal_volumes or ()):
-        if not (math.isfinite(value) and value > 0):
-            raise DomainError(f"nominal {name} must be positive and finite, got {value}")
+    _require_positive(("V_a", "V_b"), nominal_volumes or (), "nominal ")
     lines = [f"mode: {mode}", f"k_a: {_fmt(k_a)}", f"k_e: {_fmt(k_e)}"]
     if mode == "flows":
         if volumes is None:

@@ -108,14 +108,6 @@ def modulate_ook(payload, config: ModulationConfig, start: float = 0.0) -> DoseS
     return DoseSchedule(events=tuple(events))
 
 
-def symbol_samples(config: ModulationConfig, dt: float) -> int:
-    """Samples per symbol window; a configuration error unless dt divides the symbol period."""
-    w = int(round(config.symbol_period / dt))
-    if w < 1 or abs(w * dt - config.symbol_period) > 1e-9 * config.symbol_period:
-        raise ConfigurationError(f"sample step {dt} does not divide the symbol period {config.symbol_period}")
-    return w
-
-
 def pill_schedule(bits, level_one: float, dissolution_times) -> DoseSchedule:
     """Impulsive dose schedule of a passive pill carrying bits, most significant first.
 
@@ -276,8 +268,11 @@ class Receiver:
     def __init__(self, params: PkParams, config: ModulationConfig, dt: float, n: int):
         self.params, self.route = params, config.route
         self.dt, self.n = dt, n
-        self.window = symbol_samples(config, dt)
-        self.n_windows = n // self.window
+        period = config.symbol_period
+        self.window = w = int(round(period / dt))
+        if w < 1 or abs(w * dt - period) > 1e-9 * period:
+            raise ConfigurationError(f"sample step {dt} does not divide the symbol period {period}")
+        self.n_windows = n // w
         if self.n_windows < len(PREAMBLE):
             raise SynchronizationError("signal is shorter than the preamble")
         self.threshold = THRESHOLD_FRACTION * config.dose_mass

@@ -22,7 +22,7 @@ import yaml
 
 from .channel import DoseEvent, DoseSchedule, PkParams, Route
 from .errors import PkLinkError, UsageError, shown_path
-from .modem import REFERENCE_PAYLOAD, ModulationConfig, modulate_ook
+from .modem import REFERENCE_PAYLOAD, ModulationConfig, _check_noise, modulate_ook
 from .signals import MAX_GRID_SAMPLES
 from .testbed import PlatformConfig, plan_flows, plan_volumes
 
@@ -119,18 +119,17 @@ def _write_fields(obj) -> dict:
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Measurement noise settings applied to received signals."""
+    """Measurement noise settings applied to received signals.
+
+    The ranges are add_noise's, refused by its check with a DomainError.
+    """
 
     sigma: float = 0.0
     spike_prob: float = 0.0
     spike_scale: float = 0.0
 
     def __post_init__(self):
-        if self.sigma < 0 or self.spike_scale < 0 or not (0.0 <= self.spike_prob <= 1.0):
-            raise UsageError(
-                f"noise settings out of range: sigma={self.sigma}, "
-                f"spike_prob={self.spike_prob}, spike_scale={self.spike_scale}"
-            )
+        _check_noise([self.sigma], self.spike_prob, self.spike_scale)
 
     @property
     def silent(self) -> bool:

@@ -96,8 +96,9 @@ class Spectrum:
 def sample(f, t0: float, dt: float, n: int, role: SignalRole = SignalRole.CONCENTRATION) -> SampledSignal:
     """Sample a time function on the grid t0 + k*dt, k = 0..n-1.
 
-    f is called once on the whole grid and must return one value per grid
-    point; any other shape is a DomainError.
+    f is called once on the whole grid and must return one finite value
+    per grid point; any other shape, or a value that is not finite, is a
+    DomainError (the latter from SampledSignal).
     """
     if n < 1:
         raise DomainError("sample count must be >= 1")
@@ -105,8 +106,6 @@ def sample(f, t0: float, dt: float, n: int, role: SignalRole = SignalRole.CONCEN
     values = np.asarray(f(t), dtype=float)
     if values.shape != t.shape:
         raise DomainError(f"sampled function returned shape {values.shape} on a grid of {n} points")
-    if not np.all(np.isfinite(values)):
-        raise DomainError("sampled function is not finite on the grid")
     return SampledSignal(t0=t0, dt=dt, samples=values, role=role)
 
 
@@ -187,18 +186,6 @@ def _check_dt_match(x: SampledSignal, h: SampledSignal):
         raise ConfigurationError(f"sample steps differ: {x.dt} vs {h.dt}")
 
 
-def _combine_roles(a: SignalRole, b: SignalRole) -> SignalRole:
-    """Role of a convolution output; symmetric in its arguments."""
-    pair = {a, b}
-    if len(pair) == 1:
-        return a
-    if pair == {SignalRole.MASS_RATE, SignalRole.CONCENTRATION}:
-        return SignalRole.CONCENTRATION
-    if pair == {SignalRole.MASS_RATE, SignalRole.MASS}:
-        return SignalRole.MASS
-    return SignalRole.CONCENTRATION
-
-
 # Largest transform size next_fast_len answers: the full linear convolution
 # of two grids of MAX_GRID_SAMPLES samples fits below it.
 MAX_FFT_SIZE = 2**28
@@ -232,8 +219,16 @@ def convolve(x: SampledSignal, h: SampledSignal) -> SampledSignal:
 
     Output starts at x.t0 + h.t0 and has len(x) + len(h) - 1 samples,
     evaluated by real FFTs of size next_fast_len(len(x) + len(h) - 1).
+    Its role is the other factor's when one factor is a mass rate, the
+    factors' own when they match, and a concentration otherwise.
     """
     _check_dt_match(x, h)
+    if x.role is SignalRole.MASS_RATE:
+        role = h.role
+    elif h.role in (SignalRole.MASS_RATE, x.role):
+        role = x.role
+    else:
+        role = SignalRole.CONCENTRATION
     n_out = len(x) + len(h) - 1
     n_fft = next_fast_len(n_out)
     spectra = np.fft.rfft(x.samples, n_fft) * np.fft.rfft(h.samples, n_fft)
@@ -242,7 +237,7 @@ def convolve(x: SampledSignal, h: SampledSignal) -> SampledSignal:
         t0=x.t0 + h.t0,
         dt=x.dt,
         samples=acc * x.dt,
-        role=_combine_roles(x.role, h.role),
+        role=role,
     )
 
 
@@ -375,7 +370,7 @@ def rk4_linear(M, b, dt: float, u: np.ndarray, jumps: np.ndarray | None = None) 
     return x[:, :n]
 
 
-def first_order_scan(d: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+def first_order_scan(d: np.ndarray, p: float, out: np.ndarray) -> np.ndarray:
     """Solve y[i] = d[i] + p * y[i-1] for a 1-D d, starting from y[-1] = 0.
 
     The samples are cut into blocks of SCAN_BLOCK.  A block's own inputs
@@ -384,9 +379,9 @@ def first_order_scan(d: np.ndarray, p: float, out: np.ndarray | None = None) -> 
     into the state each block inherits.  Adding p times that state to the
     block's first input makes every block a recurrence from rest, and one
     product with the lower-triangular matrix T[i, j] = p**(i - j) solves
-    them all.  out, when given, is a contiguous 1-D array of d.size
-    rounded up to a multiple of SCAN_BLOCK; the product is written into
-    it (it may hold d itself), and y is its first d.size entries.
+    them all.  out is a contiguous 1-D array of d.size rounded up to a
+    multiple of SCAN_BLOCK; the product is written into it (it may hold d
+    itself), and y is its first d.size entries.
     """
     n = d.size
     blocks = np.zeros((-(-n // SCAN_BLOCK), SCAN_BLOCK))
@@ -398,8 +393,6 @@ def first_order_scan(d: np.ndarray, p: float, out: np.ndarray | None = None) -> 
         state.append(own + decay * state[-1])
     blocks[:, 0] += p * np.array(state)
     powers[-1] = 0.0  # the entries above the diagonal
-    if out is None:
-        out = np.empty(blocks.size)
     np.matmul(blocks, powers[_SCAN_LAG].T, out=out.reshape(blocks.shape))
     return out[:n]
 

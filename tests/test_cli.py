@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import io
 import os
 import re
@@ -423,6 +424,13 @@ def test_scenario_numbers_must_be_finite(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_scenario_noise_out_of_range_exits_with_2(tmp_path, capsys):
+    path = tmp_path / "negative-sigma.yaml"
+    path.write_text(_link_ev_with("  sigma: 0.0\n", "  sigma: -1\n"))
+    assert main(["link", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == "error: scenario field noise: sigma must be finite and >= 0, got -1.0\n"
+
+
 def test_data_errors_exit_with_3(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("t,conc\n0.0,1.0\n10.0,oops\n")
@@ -561,6 +569,50 @@ def test_output_is_byte_identical_across_runs(tmp_path):
         assert main(["impulse", "--scenario", "rat-oral", "--horizon", "3000",
                      "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the bytes each built-in's simulate and impulse write to --out,
+# and of link's stdout on the link scenarios with each engine.  They were
+# recorded with numpy 2.4.6, as GOLDEN_FIT_REPORTS was: every float is
+# written as its repr, so another numpy, whose exp or FFT may round a last
+# bit differently, can move a digest without anything being wrong, and the
+# digests must then be recorded again from a checkout known to be good.
+GOLDEN_OUTPUT_SHA256 = {
+    ("simulate", "human-oral"): "8fb508d7f8277b236637408188ff7bb4d8803243fd3a9d8f11223dd5867d60d4",
+    ("impulse", "human-oral"): "c985958fd6b60d54ce6e5cb5f05d19eadd8539df69595ce1a203ca20041b0860",
+    ("simulate", "rat-oral"): "5fb86d94a84c94d460e5bd0a4a3af1342bb86fa239a71354b05a639b88e6862a",
+    ("impulse", "rat-oral"): "f4a400d2f4575a39a9b76fd9e93603f74d0ee769ed35dafc7798b0402284db9a",
+    ("simulate", "bench-iv"): "ef3c1c2676ee361a1a2dd826003b7cd4d0ff7de0d324db02b8b332a7d8e058b2",
+    ("impulse", "bench-iv"): "b9dc360eba2285f3621da17c6b8bead0fd6a92d8287c93290342fe9a96b6145c",
+    ("simulate", "bench-ev"): "c8014a86dc6b6a9c9c7ef8c195817ca571f27281b13d7c8763853d43d2096600",
+    ("impulse", "bench-ev"): "b9dc360eba2285f3621da17c6b8bead0fd6a92d8287c93290342fe9a96b6145c",
+    ("simulate", "link-iv"): "eaa61a305803951ba213e9a14af30a2d175edb58241b71f070bad909acc88d32",
+    ("impulse", "link-iv"): "b7c15e97a366b0f72d2d3be80d2470802ae61377d1d190955e26406f03af8b61",
+    ("simulate", "link-ev"): "254bce965cd21bb8ad467bc3ca556b201323d06b8490a1188cbb6fb227ac354c",
+    ("impulse", "link-ev"): "b7c15e97a366b0f72d2d3be80d2470802ae61377d1d190955e26406f03af8b61",
+    ("link", "link-iv", "analytic"): "b4ae83115e9acba24a1305036d1c99dc1845675c4ea9d6bae6713950a5a538c9",
+    ("link", "link-iv", "ode"): "d3b57e8a32e90d5deb720bfc50875ee180605bbc9ec56999afc8ac05c0ed7301",
+    ("link", "link-iv", "platform"): "d3b57e8a32e90d5deb720bfc50875ee180605bbc9ec56999afc8ac05c0ed7301",
+    ("link", "link-ev", "analytic"): "1a4ead88104b94ae0eab95971957c1f982e9df26b43dc56149da9c097a67ef9b",
+    ("link", "link-ev", "ode"): "d63a2ea809bafc7e1ae7b172e5c0750c0dc72cdbf2a6ef7ee0530ccd47506bcf",
+    ("link", "link-ev", "platform"): "d63a2ea809bafc7e1ae7b172e5c0750c0dc72cdbf2a6ef7ee0530ccd47506bcf",
+}
+
+
+def test_builtin_outputs_match_the_recorded_digests(tmp_path, capsys):
+    changed = []
+    for key, digest in GOLDEN_OUTPUT_SHA256.items():
+        command, name = key[:2]
+        if command == "link":
+            assert main(["link", "--scenario", name, "--engine", key[2]]) == 0
+            written = capsys.readouterr().out.encode()
+        else:
+            path = tmp_path / f"{command}-{name}.csv"
+            assert main([command, "--scenario", name, "--out", str(path)]) == 0
+            written = path.read_bytes()
+        if hashlib.sha256(written).hexdigest() != digest:
+            changed.append(key)
+    assert changed == []
 
 
 OUT_CALLS = {

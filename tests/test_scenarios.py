@@ -1,5 +1,6 @@
 """Scenario catalogue and the YAML file format."""
 
+import math
 import os
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pklink.channel import DoseEvent, DoseSchedule, PkParams, Route
-from pklink.errors import UsageError
+from pklink.errors import DomainError, UsageError
 from pklink.modem import ModulationConfig, modulate_ook
 from pklink.testbed import PlatformConfig
 from pklink.scenarios import (
@@ -178,8 +179,15 @@ def test_noise_config():
     assert NoiseConfig().silent
     assert not NoiseConfig(sigma=0.1).silent
     assert not NoiseConfig(spike_prob=0.5, spike_scale=1.0).silent
-    with pytest.raises(UsageError):
-        NoiseConfig(sigma=-1.0)
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match=r"^sigma must be finite and >= 0, got "):
+            NoiseConfig(sigma=sigma)
+    for spike_prob in (-0.5, 1.5, math.nan):
+        with pytest.raises(DomainError, match=r"^spike_prob must lie in \[0, 1\], got "):
+            NoiseConfig(spike_prob=spike_prob)
+    for spike_scale in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match=r"^spike_scale must be finite and >= 0, got "):
+            NoiseConfig(spike_scale=spike_scale)
     with pytest.raises(UsageError):
         Scenario(
             name="x",

@@ -78,6 +78,9 @@ def test_sample_propagates_errors_of_vectorized_callables():
         sample(math.exp, 0.0, 0.5, 20)
     with pytest.raises(DomainError, match="shape"):
         sample(lambda t: 1.0, 0.0, 0.5, 20)
+    # the one finiteness check of a sampled curve is SampledSignal's
+    with pytest.raises(DomainError, match="^samples must be finite$"):
+        sample(lambda t: np.where(t > 5.0, np.inf, t), 0.0, 0.5, 20)
 
 
 def test_sampled_kernel_uses_midpoint_taps(bench_pk):
@@ -115,6 +118,23 @@ def test_convolve_offsets_roles_and_grid(bench_pk):
     bad = SampledSignal(t0=0.0, dt=0.25, samples=np.ones(4), role=SignalRole.MASS_RATE)
     with pytest.raises(ConfigurationError):
         convolve(bad, h)
+
+
+def test_convolve_role_is_symmetric_and_a_mass_rate_takes_the_other():
+    rate, mass, conc = SignalRole.MASS_RATE, SignalRole.MASS, SignalRole.CONCENTRATION
+    expected = {
+        (rate, rate): rate,
+        (rate, mass): mass,
+        (rate, conc): conc,
+        (mass, mass): mass,
+        (mass, conc): conc,
+        (conc, conc): conc,
+    }
+    for (a, b), role in expected.items():
+        for first, second in ((a, b), (b, a)):
+            x = SampledSignal(t0=0.0, dt=1.0, samples=np.ones(2), role=first)
+            h = SampledSignal(t0=0.0, dt=1.0, samples=np.ones(3), role=second)
+            assert convolve(x, h).role is role
 
 
 def test_direct_and_fft_convolution_agree():
@@ -189,6 +209,11 @@ def _scan_loop(d, p):
     return np.array(y)
 
 
+def _padded(n):
+    """An output buffer for first_order_scan of n samples: n rounded up to whole blocks."""
+    return np.empty(-(-n // SCAN_BLOCK) * SCAN_BLOCK)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     k_dt=st.floats(min_value=1e-7, max_value=0.1),
@@ -204,7 +229,7 @@ def test_first_order_scan_matches_a_plain_loop(k_dt, n, seed):
     z = -k_dt
     p = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
     d = np.random.default_rng(seed).standard_normal(n) + 0.5
-    assert rel_max(first_order_scan(d, p), _scan_loop(d, p)) < 1e-12
+    assert rel_max(first_order_scan(d, p, out=_padded(n)), _scan_loop(d, p)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 1000])
@@ -212,11 +237,11 @@ def test_first_order_scan_writes_into_a_padded_row_holding_its_input(n):
     # rk4_linear builds each drive in a row padded to whole blocks and scans it in place
     p = 0.999
     d = np.random.default_rng(n).standard_normal(n)
-    row = np.zeros(-(-n // SCAN_BLOCK) * SCAN_BLOCK)
+    row = _padded(n)
     row[:n] = d
     y = first_order_scan(row[:n], p, out=row)
     assert np.shares_memory(y, row) and len(y) == n
-    assert np.array_equal(y, first_order_scan(d, p))
+    assert np.array_equal(y, first_order_scan(d, p, out=_padded(n)))
 
 
 @settings(max_examples=30, deadline=None)
