@@ -12,6 +12,7 @@ and thresholds each window against half the per-symbol dose.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,10 +52,14 @@ SWEEP_BLOCK_FRAMES = 8
 
 
 def _check_bits(bits) -> tuple[int, ...]:
-    out = tuple(int(b) for b in bits)
-    if any(b not in (0, 1) for b in out):
-        raise DomainError(f"bits must be 0 or 1, got {bits!r}")
-    return out
+    """bits as a tuple of ints.  Anything but a sequence or array of values
+    equal to 0 or 1 raises DomainError, so no value is truncated to a bit."""
+    try:
+        if isinstance(bits, (Sequence, np.ndarray)) and set(bits) <= {0, 1}:
+            return tuple(map(int, bits))
+    except TypeError:  # a 0-d array, or an unhashable element such as an array
+        pass
+    raise DomainError(f"bits must be 0 or 1, got {bits!r}")
 
 
 @dataclass(frozen=True)

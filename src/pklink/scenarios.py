@@ -4,8 +4,8 @@ A scenario bundles everything one run needs: channel parameters, an
 optional hardware (platform) configuration, either a dose schedule or a
 modulated bit frame, the sampling grid, noise settings, and a seed.
 Scenario files are YAML: nested key-value sections, human-editable, and
-round-trip exact (every built-in serializes and re-parses to an equal
-value).  The CLI resolves a scenario by built-in name, by a name found in
+round-trip exact (a Scenario checks its own fields, so every one that
+constructs serializes and re-parses to an equal value).  The CLI resolves a scenario by built-in name, by a name found in
 the directories listed in the MOCOBO_SCENARIO_DIR environment variable,
 or by filesystem path.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import os
 import re
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -22,9 +23,9 @@ import yaml
 
 from .channel import DoseEvent, DoseSchedule, PkParams, Route
 from .errors import PkLinkError, UsageError, shown_path
-from .modem import REFERENCE_PAYLOAD, ModulationConfig, _check_noise, modulate_ook
-from .signals import MAX_GRID_SAMPLES
-from .testbed import PlatformConfig, plan_flows, plan_volumes
+from .modem import REFERENCE_PAYLOAD, ModulationConfig, _check_bits, _check_noise, modulate_ook
+from .signals import MAX_GRID_SAMPLES, _integer
+from .testbed import PlatformConfig, _require_positive, plan_flows, plan_volumes
 
 SCENARIO_DIR_ENV = "MOCOBO_SCENARIO_DIR"
 
@@ -69,12 +70,11 @@ def _field_errors(key: str):
         raise UsageError(f"scenario field {key}: {exc}") from exc
 
 
-def number(mapping: dict, path: str, default=None) -> float:
-    """The finite number under the last key of path; default if the key is absent."""
-    value = mapping.get(path.split(".")[-1], default)
+def number(value, path: str) -> float:
+    """value, a finite real number, as a float; None is missing."""
     if value is None:
         raise UsageError(f"scenario field {path}: missing")
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
         raise UsageError(f"scenario field {path}: must be a number, got {value!r}")
     try:
         out = float(value)
@@ -101,20 +101,27 @@ def _read_fields(cls, mapping: dict, path: str, **given):
     for f in fields(cls):
         if f.name in given:
             continue
-        if f.default is None and mapping.get(f.name) is None:
-            values[f.name] = None
-        else:
-            default = None if f.default is MISSING else f.default
-            values[f.name] = number(mapping, f"{path}.{f.name}", default)
+        value = mapping.get(f.name, None if f.default is MISSING else f.default)
+        if value is not None or f.default is not None:
+            value = number(value, f"{path}.{f.name}")
+        values[f.name] = value
     _refuse_unknown(mapping, f"{path}.", values.keys() - given.keys())
     with _field_errors(path):
         return cls(**values)
 
 
 def _write_fields(obj) -> dict:
-    """The fields of obj in declaration order, without route and None values."""
+    """The fields of obj in declaration order as floats, without route and None values."""
     pairs = ((f.name, getattr(obj, f.name)) for f in fields(obj))
-    return {name: value for name, value in pairs if name != "route" and value is not None}
+    return {name: float(value) for name, value in pairs if name != "route" and value is not None}
+
+
+def _route(value) -> Route:
+    """value as a Route: a Route, or the text of one."""
+    try:
+        return Route(value)
+    except ValueError:
+        raise UsageError(f"scenario field route: must be one of {[r.value for r in Route]}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -138,7 +145,9 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete, reproducible simulation setup."""
+    """A complete, reproducible simulation setup.
+
+    It checks its own fields, so every Scenario that constructs saves and loads back equal."""
 
     name: str
     description: str
@@ -155,9 +164,22 @@ class Scenario:
     nominal_volumes: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
+        if not (isinstance(self.name, str) and self.name):
+            raise UsageError("scenario field name: must be a non-empty string")
+        if not isinstance(self.description, str):
+            raise UsageError(f"scenario field description: must be a string, got {self.description!r}")
+        object.__setattr__(self, "route", _route(self.route))
+        for key, cls in _PARTS.items():
+            part = getattr(self, key)
+            if not isinstance(part, cls) and (part is not None or key in ("pk", "noise")):
+                raise UsageError(f"scenario field {key}: must be a {cls.__name__}, got {part!r}")
+            if getattr(part, "route", self.route) is not self.route:
+                raise UsageError(f"scenario field {key}.route: must be the scenario's route, {self.route.value}")
+        object.__setattr__(self, "dt", number(self.dt, "grid.dt"))
+        object.__setattr__(self, "horizon", number(self.horizon, "grid.horizon"))
+        if not self.dt > 0:
             raise UsageError(f"scenario field grid.dt: must be positive, got {self.dt}")
-        if not (math.isfinite(self.horizon) and self.horizon > self.dt):
+        if not self.horizon > self.dt:
             raise UsageError(f"scenario field grid.horizon: must exceed dt, got {self.horizon}")
         # grid_size() rounds this ratio and adds one
         if not self.horizon / self.dt <= MAX_GRID_SAMPLES - 1:
@@ -165,21 +187,25 @@ class Scenario:
                 f"scenario field grid: horizon {self.horizon} / dt {self.dt} gives more than "
                 f"{MAX_GRID_SAMPLES} samples"
             )
-        if self.seed < 0:
-            raise UsageError(f"scenario field seed: must be >= 0, got {self.seed}")
+        with _field_errors("seed"):
+            object.__setattr__(self, "seed", _integer("seed", self.seed, minimum=0))
         if self.doses is None and self.modulation is None:
             raise UsageError("scenario needs either a doses section or a modulation section")
         if self.modulation is not None and self.payload is None:
             raise UsageError("scenario field payload: required when modulation is present")
-        if self.payload is not None and not self.payload:
-            raise UsageError("scenario field payload: must hold at least one bit")
-        for key in ("platform", "modulation"):
-            part = getattr(self, key)
-            if part is not None and part.route is not self.route:
-                raise UsageError(f"scenario field {key}.route: must be the scenario's route, {self.route.value}")
+        if self.payload is not None:
+            with _field_errors("payload"):
+                object.__setattr__(self, "payload", _check_bits(self.payload))
+            if not self.payload:
+                raise UsageError("scenario field payload: must hold at least one bit")
         nominal = self.nominal_volumes
-        if nominal is not None and not all(math.isfinite(v) and v > 0 for v in nominal):
-            raise UsageError(f"scenario field nominal_volumes: must be positive and finite, got {list(nominal)}")
+        if nominal is not None:
+            if not (isinstance(nominal, (list, tuple)) and len(nominal) == 2):
+                raise UsageError("scenario field nominal_volumes: must be a pair [V_a, V_b]")
+            nominal = tuple(number(v, f"nominal_volumes.{key}") for key, v in zip(("V_a", "V_b"), nominal))
+            with _field_errors("nominal_volumes"):
+                _require_positive(("V_a", "V_b"), nominal, "nominal ")
+            object.__setattr__(self, "nominal_volumes", nominal)
 
     def schedule(self) -> DoseSchedule:
         """The dose schedule this scenario transmits."""
@@ -194,8 +220,8 @@ class Scenario:
         seed: int | None = None,
     ) -> "Scenario":
         """This scenario with each given field replaced, validated once as a whole."""
-        given = {"dt": dt, "horizon": horizon, "seed": seed}
-        return replace(self, **{key: value for key, value in given.items() if value is not None})
+        given = {key: value for key, value in (("dt", dt), ("horizon", horizon), ("seed", seed)) if value is not None}
+        return replace(self, **given) if given else self
 
     def grid_size(self) -> int:
         """Number of samples on the scenario grid, endpoint included."""
@@ -205,8 +231,8 @@ class Scenario:
 
     def to_mapping(self) -> dict:
         doc: dict = {
-            "name": self.name,
-            "description": self.description,
+            "name": str(self.name),
+            "description": str(self.description),
             "route": self.route.value,
             "pk": _write_fields(self.pk),
             "grid": {"dt": self.dt, "horizon": self.horizon},
@@ -248,32 +274,15 @@ class Scenario:
                 raise UsageError(f"scenario field {key}: must be a mapping")
             return value
 
-        name = doc.get("name")
-        if not isinstance(name, str) or not name:
-            raise UsageError("scenario field name: must be a non-empty string")
-        route_text = doc.get("route")
-        try:
-            route = Route(route_text)
-        except ValueError:
-            raise UsageError(
-                f"scenario field route: must be one of {[r.value for r in Route]}, got {route_text!r}"
-            ) from None
-
+        route = _route(doc.get("route"))
         pk = _read_fields(PkParams, section("pk", required=True), "pk")
         grid = section("grid", required=True)
         _refuse_unknown(grid, "grid.", _GRID_KEYS)
-        platform = None
-        if "platform" in doc:
-            platform = _read_fields(PlatformConfig, section("platform"), "platform", route=route)
-
-        nominal = None
-        if "nominal_volumes" in doc:
-            raw = doc["nominal_volumes"]
-            if not (isinstance(raw, (list, tuple)) and len(raw) == 2):
-                raise UsageError("scenario field nominal_volumes: must be a pair [V_a, V_b]")
-            pair = dict(zip(("V_a", "V_b"), raw))
-            nominal = (number(pair, "nominal_volumes.V_a"), number(pair, "nominal_volumes.V_b"))
-
+        routed = {  # the parts that take the scenario's route
+            key: _read_fields(_PARTS[key], section(key), key, route=route)
+            for key in ("platform", "modulation")
+            if key in doc
+        }
         doses = None
         if "doses" in doc:
             raw_doses = doc["doses"]
@@ -286,47 +295,24 @@ class Scenario:
                 events.append(_read_fields(DoseEvent, entry, f"doses[{i}]"))
             doses = DoseSchedule(events=tuple(events))
 
-        modulation = None
-        if "modulation" in doc:
-            modulation = _read_fields(ModulationConfig, section("modulation"), "modulation", route=route)
-
-        payload = None
-        if "payload" in doc:
-            raw_payload = doc["payload"]
-            if isinstance(raw_payload, str):
-                if not raw_payload or any(ch not in "01" for ch in raw_payload):
-                    raise UsageError(f"scenario field payload: must be a string of 0/1, got {raw_payload!r}")
-                payload = tuple(int(ch) for ch in raw_payload)
-            elif isinstance(raw_payload, (list, tuple)):
-                if any(b not in (0, 1) for b in raw_payload):
-                    raise UsageError(f"scenario field payload: bits must be 0/1, got {raw_payload!r}")
-                payload = tuple(int(b) for b in raw_payload)
-            else:
-                raise UsageError("scenario field payload: must be a bit string or list")
-
-        noise = _read_fields(NoiseConfig, section("noise"), "noise")
-
-        seed = doc.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise UsageError(f"scenario field seed: must be an integer, got {seed!r}")
-        description = doc.get("description", "")
-        if not isinstance(description, str):
-            raise UsageError(f"scenario field description: must be a string, got {description!r}")
+        # a string of 0s and 1s spells the bits; the constructor checks any other value as it is
+        payload = doc.get("payload")
+        if isinstance(payload, str) and not payload.strip("01"):
+            payload = tuple(map(int, payload))
 
         return cls(
-            name=name,
-            description=description,
+            name=doc.get("name"),
+            description=doc.get("description", ""),
             route=route,
             pk=pk,
-            dt=number(grid, "grid.dt"),
-            horizon=number(grid, "grid.horizon"),
-            platform=platform,
+            dt=grid.get("dt"),
+            horizon=grid.get("horizon"),
             doses=doses,
-            modulation=modulation,
             payload=payload,
-            noise=noise,
-            seed=seed,
-            nominal_volumes=nominal,
+            noise=_read_fields(NoiseConfig, section("noise"), "noise"),
+            seed=doc.get("seed", 0),
+            nominal_volumes=doc.get("nominal_volumes"),
+            **routed,
         )
 
     @classmethod
@@ -354,6 +340,8 @@ class Scenario:
         return cls.from_text(text)
 
 
+# The class each part of a scenario holds; pk and noise are required, the others may be None.
+_PARTS = dict(pk=PkParams, platform=PlatformConfig, doses=DoseSchedule, modulation=ModulationConfig, noise=NoiseConfig)
 # Keys of the grid section, and of the document itself.
 _GRID_KEYS = ("dt", "horizon")
 _TOP_LEVEL_KEYS = {f.name for f in fields(Scenario) if f.name not in _GRID_KEYS} | {"grid"}

@@ -62,6 +62,10 @@ def _window_sums(receiver, recovered: np.ndarray) -> np.ndarray:
     return recovered[:, : n_windows * w].reshape(len(recovered), n_windows, w).sum(axis=2) * receiver.dt
 
 
+# Values that are not a sequence of bits: none is truncated to one.
+_NOT_BITS = [(0, 2), (0, 1.5), (0.6,), (-0.4, 1), ("a",), (0, math.nan), "0110", 5, {0: 1, 1: 0}, np.array(1)]
+
+
 def test_frame_prepends_preamble():
     config = ModulationConfig(600.0, 5.0, Route.INTRAVENOUS)
     schedule = modulate_ook((0, 1, 1), config, start=60.0)
@@ -71,6 +75,10 @@ def test_frame_prepends_preamble():
         modulate_ook((0, 2), config)
     with pytest.raises(DomainError, match="bits must be 0 or 1"):
         modulate_ook((0, 2), config, start=-1.0)  # the bits are checked first
+    for bits in _NOT_BITS:
+        with pytest.raises(DomainError, match="^bits must be 0 or 1, got "):
+            modulate_ook(bits, config)
+    assert modulate_ook(np.array([1.0, 0.0]), config) == modulate_ook((1, 0), config)
 
 
 def test_modulation_schedule_places_doses_at_one_bits():
@@ -113,6 +121,8 @@ def test_passive_pill_validation():
             pill_schedule(bits, level_one, times)
 
     refused(DomainError, "bits must be 0 or 1", (1, 2), 0.0, (1.0,))  # the bits are checked first
+    for bits in _NOT_BITS:
+        refused(DomainError, "bits must be 0 or 1", bits, 40.0, (1.0, 0.0))
     refused(DomainError, "2 bits but 1 dissolution times", (1, 0), 0.0, (100.0,))
     for level in (0.0, -1.0, math.inf, math.nan):
         refused(DomainError, f"level_one must be positive, got {level}", (1,), level, (-1.0,))
@@ -307,6 +317,9 @@ def test_detection_parameter_validation(bench_pk):
     received = _clean_frame_signal(bench_pk, config, (1, 0), 5.0, 1500)
     with pytest.raises(DomainError):
         detect(received, bench_pk, config, payload_length=2, reference=(1, 0, 1))
+    for bits in _NOT_BITS:
+        with pytest.raises(DomainError, match="^bits must be 0 or 1, got "):
+            detect(received, bench_pk, config, payload_length=2, reference=bits)
 
 
 @pytest.mark.parametrize(

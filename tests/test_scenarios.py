@@ -4,12 +4,13 @@ import math
 import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pklink.channel import DoseEvent, DoseSchedule, PkParams, Route
-from pklink.errors import DomainError, UsageError
+from pklink.errors import DomainError, PkLinkError, UsageError
 from pklink.modem import ModulationConfig, modulate_ook
 from pklink.testbed import PlatformConfig
 from pklink.scenarios import (
@@ -268,6 +269,35 @@ def test_field_errors_name_their_field_once():
     assert Scenario.from_text(bench.replace(line, "description: '12'\n")).description == "12"
 
 
+@pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        ("link-ev", "seed: 6", "seed: 1.5", "seed: seed must be an integer, got 1.5"),
+        ("link-ev", "seed: 6", "seed: -1", "seed: seed must be >= 0"),
+        ("link-ev", "payload: '01010011'", "payload: '012'", "payload: bits must be 0 or 1, got '012'"),
+        ("link-ev", "payload: '01010011'", "payload: [0, 1.5]", "payload: bits must be 0 or 1, got [0, 1.5]"),
+        ("link-ev", "payload: '01010011'", "payload: 5", "payload: bits must be 0 or 1, got 5"),
+        ("link-ev", "payload: '01010011'", "payload: ''", "payload: must hold at least one bit"),
+        ("link-ev", "payload: '01010011'", "payload: null", "payload: required when modulation is present"),
+        ("bench-ev", "- 650.0\n", "- -1.0\n", "nominal_volumes: nominal V_a must be positive and finite, got -1.0"),
+        ("bench-ev", "- 300.0\n", "- 0.0\n", "nominal_volumes: nominal V_b must be positive and finite, got 0.0"),
+        ("bench-ev", "- 300.0\n", "- 300.0\n- 1.0\n", "nominal_volumes: must be a pair [V_a, V_b]"),
+    ],
+)
+def test_a_file_field_is_refused_by_the_check_its_owner_states(name, old, new, message):
+    text = resolve_scenario(name).to_text()
+    assert text.count(old) == 1
+    with pytest.raises(UsageError) as caught:
+        Scenario.from_text(text.replace(old, new))
+    assert str(caught.value) == f"scenario field {message}"
+
+
+def test_a_null_payload_or_nominal_pair_reads_as_absent():
+    bench = resolve_scenario("bench-ev")
+    text = bench.to_text().replace("nominal_volumes:\n- 650.0\n- 300.0\n", "nominal_volumes: null\npayload: null\n")
+    assert Scenario.from_text(text) == replace(bench, nominal_volumes=None)
+
+
 _positive = st.floats(min_value=1e-6, max_value=1e6)
 # any text, or one spelled as a YAML 1.2 float without a dot, which the
 # writer must quote for the reader to keep it a string
@@ -329,4 +359,68 @@ def _scenarios(draw) -> Scenario:
 @given(scenario=_scenarios())
 @settings(max_examples=200, deadline=None)
 def test_generated_scenarios_round_trip_through_yaml(scenario):
+    assert Scenario.from_text(scenario.to_text()) == scenario
+
+
+_LINK_EV = resolve_scenario("link-ev")
+_EV = Route.EXTRAVASCULAR
+# Valid and bad values of each top-level field of a scenario, numpy scalars among them.
+_FIELD_VALUES = {
+    "name": ["x", np.str_("np"), "", 5, True, None, ["x"]],
+    "description": ["", "d", np.str_("np"), 5, 1.5, None],
+    "route": [_EV, "extravascular", Route.INTRAVENOUS, "intravenous", "topical", 1.5, None, ["extravascular"]],
+    "pk": [
+        PkParams(k_e=np.float64(1.51e-3), V=np.float32(649.0), k_a=np.float64(3.27e-3), F=np.float64(1.0)),
+        PkParams(k_e=1, V=649),
+        "pk",
+        None,
+        1.5,
+    ],
+    "dt": [5.0, np.float64(5.0), np.float32(2.5), 5, np.int64(5), True, "5", [5.0], 0.0, -1.0, math.nan, None],
+    "horizon": [15000.0, np.float64(9000.0), 15000, 1.5, math.inf, "15000", None],
+    "platform": [
+        None,
+        PlatformConfig(np.float64(0.98), 0.98, np.float32(299.7), 649.0, _EV),
+        PlatformConfig(0.98, 0.98, 299.7, 649.0, Route.INTRAVENOUS),
+        "platform",
+        1.5,
+    ],
+    "doses": [
+        None,
+        DoseSchedule(events=(DoseEvent(np.float64(60.0), np.float32(10.0), 0.0), DoseEvent(0.0, 5.0, 1.5))),
+        (DoseEvent(0.0, 5.0),),
+        "doses",
+    ],
+    "modulation": [
+        None,
+        ModulationConfig(np.float64(600.0), np.float32(130.0), _EV, np.float64(1.3)),
+        ModulationConfig(600.0, 130.0, Route.INTRAVENOUS),
+        "modulation",
+    ],
+    "payload": [
+        (0, 1), [1, 0, 1], np.array([0, 1]), (np.int64(1), np.float64(0.0)), (True, False), "0110", (0, 2),
+        (0, 1.5), (0.6,), ("a",), (), 1.5, True, None,
+    ],
+    "noise": [NoiseConfig(np.float64(0.1), np.float32(0.5), 2), "noise", None, 1.5],
+    "seed": [0, 3, np.int64(3), np.uint8(7), 2**64, 1.5, True, -1, "3", None],
+    "nominal_volumes": [
+        None, (650.0, 300.0), [650.0, 300.0], (np.float64(1.0), np.float32(2.0)), (1, 2), (1.0, 2.0, 3.0),
+        (-1.0, 2.0), (0.0, 1.0), (True, 1.0), ("1", 2.0), (math.inf, 1.0), "12", 1.5,
+    ],
+}
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_scenario_that_constructs_saves_and_loads_back_equal(data):
+    changes = {
+        key: data.draw(st.sampled_from(values), label=key)
+        for key, values in _FIELD_VALUES.items()
+        if data.draw(st.integers(0, 3), label=f"change {key}") == 0
+    }
+    try:
+        scenario = replace(_LINK_EV, **changes)
+    except PkLinkError:
+        return  # refused: never AttributeError, TypeError or a yaml error
+    hash(scenario)
     assert Scenario.from_text(scenario.to_text()) == scenario
