@@ -1,8 +1,7 @@
 """CSV writer timings: cli._write_rows on the columns simulate and impulse write.
 
-rat-oral simulate writes 72 001 rows of t, analytic, ode and platform, whose
-ode and platform columns are the same doubles bit for bit; bench-ev impulse
-writes 8 001 rows of seven columns, no two alike.  The columns are computed
+rat-oral simulate writes 72 001 rows of t, analytic, ode and platform;
+bench-ev impulse writes 8 001 rows of seven columns.  The columns are computed
 once, outside the timed region, so only the formatting is timed.
 
 Not part of the test suite (pyproject's testpaths collects tests/ only).

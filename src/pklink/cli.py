@@ -22,6 +22,7 @@ import stat
 import sys
 
 import numpy as np
+import orjson
 
 from .channel import Route, Normalization, impulse_response, peak_time, superpose
 from .errors import (
@@ -35,7 +36,6 @@ from .errors import (
     shown_path,
 )
 from .fitting import ConcentrationSeries, fit_least_squares, fit_residuals
-from .floattext import rows_text
 from .modem import DetectionReport, Receiver, add_noise, detect
 from .scenarios import Scenario, builtin_scenarios, resolve_scenario
 from .signals import SampledSignal, SignalRole, dose_rate_signal, dose_steps, integrate_ode, sample, split_doses
@@ -47,18 +47,91 @@ ENGINES = ("analytic", "ode", "platform")
 # the hardware sheet as inconsistent.
 PLAN_WARN_RTOL = 0.01
 
-# Values formatted per block by _write_rows, which takes as many rows as
-# hold this many values of its distinct columns.  A block costs a few
-# hundred numpy calls, and its arrays grow with its values: on rat-oral's
-# simulate columns (72 001 rows, 3 distinct columns of 4), 256, 512, 1024,
-# 2048 and 4096-row blocks formatted in 142, 97, 78, 70 and 66 ms (median
-# of three best-of-6 runs on a shared 2-vCPU Xeon) at traced peaks of
-# 0.14, 0.27, 0.54, 1.07 and 2.10 MB.  impulse's 7 distinct columns took
-# 1.26 MB in 1024-row blocks and take 0.56 MB in the 438 rows these give
-# them.  Run alone, bench-ev's impulse is no slower in the smaller blocks
-# (18.6 against 20.3 ms, best of 15); run among the sweep-cli benchmark's
-# calls, its four impulse calls take 61-62 against 55-58 ms a round.
+# Values written per block by _write_rows, which takes as many rows as hold
+# this many values.  A block costs one orjson call and a few dozen numpy
+# calls, and its arrays grow with its values: on rat-oral's simulate
+# columns (72 001 rows of 4), 1024, 2048, 3072, 4096 and 6144-value blocks
+# wrote in 35.0, 31.6, 30.5, 30.0 and 29.2 ms (median of 25 interleaved
+# runs on a shared 2-vCPU Xeon) at traced peaks of 0.10, 0.21, 0.31, 0.41
+# and 0.61 MB.  A 3072-value block whose every field is rewritten peaks at
+# 0.37 MB.
 CSV_BLOCK_VALUES = 3072
+
+# orjson writes the shortest digits that read back to each double, the
+# digits repr writes, but lays four forms out otherwise: 1e16 and 1e-7 for
+# repr's 1e+16 and 1e-07, 0.000015 for 1.5e-05 (1e-5 <= |v| < 1e-4), and
+# null for nan and the infinities.  _rows_text marks what it rewrites with
+# bytes that orjson never writes: it deletes _DROP and expands each of
+# _GROW into its text.
+_COMMA, _DOT, _MINUS, _ZERO, _NINE, _EXP, _NEWLINE = b",.-09e\n"
+_DROP = b"\x01"
+_GROW = {b"\x02": b"e-05,", b"\x03": b"e-05\n", b"\x04": b"e+", b"\x05": b"-0"}
+_E05, _E05_ROW_END, _PLUS, _PAD = b"\x02\x03\x04\x05"
+_SMALL = int.from_bytes(b"0.0000", "little")
+_NULL = int.from_bytes(b"null", "little")
+# "null" rewritten as nan, inf and -inf
+_NON_FINITE = np.frombuffer(b"nan" + _DROP + b"inf" + _DROP + b"-inf", np.uint8).reshape(3, 4)
+
+
+def _windows(a: np.ndarray, width: int) -> np.ndarray:
+    """Row i is a[i : i + width], a view of the 1-D byte array a."""
+    return np.lib.stride_tricks.as_strided(a, (a.size - width + 1, width), (1, 1))
+
+
+def _rows_text(block: np.ndarray) -> str:
+    """The CSV rows of a C-contiguous float64 block, each value as repr(float(v)).
+
+    orjson writes the values, flattened, as "[v,v,...,v]"; one scan of
+    those bytes finds the field ends and puts the last one of each row to
+    a newline.  A field whose layout differs from repr's is rewritten only
+    where its text shows that form, so text that already reads as repr
+    passes through: "e" before a digit gains a "+", a one-digit "e-d"
+    becomes "e-0d", "0.0000d..." becomes "d...e-05" (with a "." after d
+    if more digits follow), and "null" becomes nan, inf or -inf by the
+    value.
+    """
+    width = block.shape[1]
+    values = block.reshape(-1)
+    buf = bytearray(orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY))
+    size = len(buf)
+    buf += bytes(8)  # so that an 8-byte read from any field's start stays inside
+    body = np.frombuffer(buf, np.uint8)
+    ends = np.append(np.flatnonzero(body == _COMMA), size - 1)  # each field's ',' or the closing ']'
+    body[ends[width - 1 :: width]] = _NEWLINE
+    if b"null" in buf or b"0.0000" in buf:
+        starts = np.append(1, ends[:-1] + 1)
+        head = _windows(body, 8)[starts].view("<u8")[:, 0]  # each field's first 8 bytes
+        null = np.flatnonzero((head & 0xFFFFFFFF) == _NULL)
+        if null.size:
+            v = values[null]
+            _windows(body, 4)[starts[null]] = _NON_FINITE[np.where(np.isnan(v), 0, np.where(v > 0, 1, 2))]
+        sign = (head & 0xFF) == _MINUS
+        head >>= sign.astype(np.uint64) << np.uint64(3)  # past a '-'
+        first = (head >> np.uint64(48)).astype(np.uint8)
+        small = np.flatnonzero((head & 0xFFFFFFFFFFFF) == _SMALL)
+        if small.size:
+            at, end = starts[small] + sign[small], ends[small]
+            # "0.0000d" as five dropped bytes, d, and a '.' that only more digits keep
+            layout = np.full((small.size, 7), _DROP[0], np.uint8)
+            layout[:, 5] = first[small]
+            layout[:, 6] = np.where(end > at + 7, _DOT, _DROP[0])
+            _windows(body, 7)[at] = layout
+            body[end] = np.where(body[end] == _NEWLINE, _E05_ROW_END, _E05)
+    if b"e" in buf:
+        exp = np.flatnonzero(body == _EXP)
+        after = body[exp + 1]
+        body[exp[(after >= _ZERO) & (after <= _NINE)]] = _PLUS
+        minus = exp[after == _MINUS] + 1
+        past = body[minus + 2]  # not a digit after a one-digit exponent
+        body[minus[(past < _ZERO) | (past > _NINE)]] = _PAD
+    del body  # a bytearray that numpy shares cannot shrink
+    del buf[size:], buf[0]  # the padding and the opening '['
+    if _DROP in buf:
+        buf = buf.translate(None, _DROP)
+    for mark, grown in _GROW.items():
+        if mark in buf:
+            buf = buf.replace(mark, grown)
+    return buf.decode()
 
 
 def _fmt(value: float) -> str:
@@ -69,29 +142,14 @@ def _write_rows(fh, header, columns) -> None:
     """Write a CSV header and the columns side by side, one row per sample.
 
     Every value is written as repr(float(v)), the shortest decimal that
-    reads back to the same double, by floattext.rows_text.  The rows are
-    converted CSV_BLOCK_VALUES // (distinct columns) at a time, so memory
-    grows neither with the grid nor with the columns.  A column whose
-    doubles equal an earlier column's bit for bit (as the ode and platform
-    columns of simulate do) has its digits found once and laid out in each
-    of its fields; columns equal only in value, such as 0.0 and -0.0, are
-    formatted apart.
+    reads back to the same double.  The rows are written
+    CSV_BLOCK_VALUES // len(columns) at a time, so memory grows neither
+    with the grid nor with the columns.
     """
     fh.write(",".join(header) + "\n")
-    # distinct columns as raw bits, and for each column the index of its bits
-    distinct: list[np.ndarray] = []
-    source: list[int] = []
-    for values in columns:
-        bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-        match = next((k for k, seen in enumerate(distinct) if np.array_equal(bits, seen)), None)
-        if match is None:
-            match = len(distinct)
-            distinct.append(bits)
-        source.append(match)
-    rows = CSV_BLOCK_VALUES // len(distinct)
-    for start in range(0, len(distinct[0]), rows):
-        block = [bits[start : start + rows].view(np.float64) for bits in distinct]
-        fh.write(rows_text(block, source))
+    rows = CSV_BLOCK_VALUES // len(columns)
+    for start in range(0, len(columns[0]), rows):
+        fh.write(_rows_text(np.stack([values[start : start + rows] for values in columns], axis=1, dtype=np.float64)))
 
 
 @contextlib.contextmanager

@@ -12,7 +12,6 @@ or by filesystem path.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import numbers
 import os
@@ -55,19 +54,27 @@ for _resolving in (_Loader, _Dumper):
     )
 
 
-@contextlib.contextmanager
-def _field_errors(key: str):
+class _field_errors:
     """Report a package error inside a section as a usage error on field key.
 
     A UsageError already names its field (number() raises one) and passes
-    through unchanged.
+    through unchanged.  A class rather than a generator context manager,
+    which costs several times as much to enter, since every Scenario built
+    enters it two or three times.
     """
-    try:
-        yield
-    except UsageError:
-        raise
-    except PkLinkError as exc:
-        raise UsageError(f"scenario field {key}: {exc}") from exc
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: str):
+        self.key = key
+
+    def __enter__(self):
+        return None
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, PkLinkError) and not isinstance(exc, UsageError):
+            raise UsageError(f"scenario field {self.key}: {exc}") from exc
+        return False
 
 
 def number(value, path: str) -> float:

@@ -247,7 +247,7 @@ def _integer(name: str, value, minimum: float = -math.inf) -> int:
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if (n := operator.index(value)) < minimum:
-        raise DomainError(f"{name} must be >= {minimum}")
+        raise DomainError(f"{name} must be >= {minimum}, got {n}")
     return n
 
 

@@ -723,20 +723,20 @@ def _reference_csv(header, columns) -> str:
     return ",".join(header) + "\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows)
 
 
-# Rows of a block of the three distinct columns that simulate writes, and
-# that test_csv_writer_reuses_only_bit_equal_columns writes.
-BLOCK_ROWS_OF_3 = CSV_BLOCK_VALUES // 3
+# Rows of a block of simulate's four columns (t and the three engines) and
+# of test_csv_writer_keeps_equal_columns_and_signed_zeros' six.
+SIMULATE_BLOCK_ROWS = CSV_BLOCK_VALUES // 4
+BLOCK_ROWS_OF_6 = CSV_BLOCK_VALUES // 6
 
 
-@pytest.mark.parametrize("n", [1, BLOCK_ROWS_OF_3 - 1, BLOCK_ROWS_OF_3, BLOCK_ROWS_OF_3 + 1])
-def test_csv_writer_reuses_only_bit_equal_columns(n):
+@pytest.mark.parametrize("n", [1, BLOCK_ROWS_OF_6 - 1, BLOCK_ROWS_OF_6, BLOCK_ROWS_OF_6 + 1, 3 * BLOCK_ROWS_OF_6])
+def test_csv_writer_keeps_equal_columns_and_signed_zeros(n):
     rng = np.random.default_rng(n)
     values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     zeros = np.zeros(n)
     signed = zeros.copy()
     signed[n // 2] = -0.0  # equal in value to zeros, not in bits
-    # a repeated column, a strided view of its values, and 0.0 against -0.0:
-    # three distinct columns
+    # a repeated column, a strided view of its values, and 0.0 against -0.0
     copy = values.copy()
     strided = np.repeat(values, 2)[::2]
     header = ("a", "b", "c", "z", "s", "z2")
@@ -750,8 +750,7 @@ def test_csv_writer_reuses_only_bit_equal_columns(n):
 def test_simulate_engines_agree_bit_for_bit():
     # Both integrating engines run signals.rk4_linear on one lower-triangular
     # system and the twin's excreta state feeds nothing back, so the ode and
-    # platform columns are the same doubles.  Only the CSV writer's speed
-    # depends on this (it formats a bit-equal column once), not its output.
+    # platform columns are the same doubles.
     for name, scenario in builtin_scenarios().items():
         signals, _ = run_simulate(scenario)
         ode, platform = signals["ode"].samples, signals["platform"].samples
@@ -836,7 +835,7 @@ def _assert_csv_outputs_read_as_repr(tmp_path, name, dt=None, horizon=None):
     scenario = resolve_scenario(name).with_overrides(dt=dt, horizon=horizon)
     overrides = (["--dt", repr(dt)] if dt else []) + (["--horizon", repr(horizon)] if horizon else [])
     n = scenario.grid_size()
-    assert n > BLOCK_ROWS_OF_3  # more than one block of simulate's, and so of impulse's 7 distinct columns
+    assert n > SIMULATE_BLOCK_ROWS  # more than one block of simulate's, and so of impulse's 7 columns
     sim = tmp_path / "sim.csv"
     assert main(["simulate", "--scenario", name, "--out", str(sim)] + overrides) == 0
     signals, deviations = run_simulate(scenario)
@@ -857,12 +856,13 @@ def _assert_csv_outputs_read_as_repr(tmp_path, name, dt=None, horizon=None):
     assert imp.read_bytes() == _reference_csv(header, columns).encode()
 
 
-@pytest.mark.parametrize("dt, horizon", [(None, None), (0.5, None), (None, 8191.0)])
+@pytest.mark.parametrize("dt, horizon", [(None, None), (0.5, None), (None, 7679.0)])
 def test_csv_writer_formats_every_value_as_its_repr(tmp_path, dt, horizon):
     # bench-ev has 8001 rows; dt 0.5 gives 16001 (not a multiple of
-    # simulate's block) and horizon 8191 gives 8192, a whole number of
-    # simulate's blocks; impulse's blocks of 7 distinct columns divide none.
-    assert 16001 % BLOCK_ROWS_OF_3 != 0 and 8192 % BLOCK_ROWS_OF_3 == 0
+    # simulate's block) and horizon 7679 gives 7680, a whole number of
+    # simulate's blocks; impulse's blocks of 7 columns divide none.
+    assert 16001 % SIMULATE_BLOCK_ROWS != 0 and 7680 % SIMULATE_BLOCK_ROWS == 0
+    assert all(n % (CSV_BLOCK_VALUES // 7) != 0 for n in (8001, 16001, 7680))
     _assert_csv_outputs_read_as_repr(tmp_path, "bench-ev", dt, horizon)
 
 

@@ -327,7 +327,7 @@ def test_detection_parameter_validation(bench_pk):
     [
         (8.0, "payload_length must be an integer, got 8.0"),
         (True, "payload_length must be an integer, got True"),
-        (-1, "payload_length must be >= 0"),
+        (-1, "payload_length must be >= 0, got -1"),
     ],
 )
 def test_detection_refuses_a_payload_length_that_is_not_a_count(bench_pk, payload_length, message):
@@ -440,12 +440,12 @@ def test_ber_sweep_rates_do_not_depend_on_the_block_size(monkeypatch, bench_pk, 
 @pytest.mark.parametrize(
     "options, message",
     [
-        ({"payload_length": 0}, "payload_length must be >= 1"),
-        ({"payload_length": -1}, "payload_length must be >= 1"),
+        ({"payload_length": 0}, "payload_length must be >= 1, got 0"),
+        ({"payload_length": -1}, "payload_length must be >= 1, got -1"),
         ({"payload_length": 2.0}, "payload_length must be an integer, got 2.0"),
         ({"n_frames": 2.5}, "n_frames must be an integer, got 2.5"),
         ({"n_frames": True}, "n_frames must be an integer, got True"),
-        ({"seed": -1}, "seed must be >= 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"seed": True}, "seed must be an integer, got True"),
     ],

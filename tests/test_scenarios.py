@@ -273,7 +273,7 @@ def test_field_errors_name_their_field_once():
     "name, old, new, message",
     [
         ("link-ev", "seed: 6", "seed: 1.5", "seed: seed must be an integer, got 1.5"),
-        ("link-ev", "seed: 6", "seed: -1", "seed: seed must be >= 0"),
+        ("link-ev", "seed: 6", "seed: -1", "seed: seed must be >= 0, got -1"),
         ("link-ev", "payload: '01010011'", "payload: '012'", "payload: bits must be 0 or 1, got '012'"),
         ("link-ev", "payload: '01010011'", "payload: [0, 1.5]", "payload: bits must be 0 or 1, got [0, 1.5]"),
         ("link-ev", "payload: '01010011'", "payload: 5", "payload: bits must be 0 or 1, got 5"),
